@@ -118,9 +118,16 @@ def main(argv: list[str] | None = None) -> int:
                     help="optional driver-table dir: also refresh the "
                          "ANN delta coding and MinHash band-index delta")
     su.add_argument("--global-edge-dedup", action="store_true",
-                    help="required when base and delta share urls (re-crawl)")
+                    help="rejected: update assumes base and delta hold "
+                         "disjoint urls; rebuild a re-crawl with run/merge")
 
     args = p.parse_args(argv)
+    if args.cmd == "update" and args.global_edge_dedup:
+        p.error("update --global-edge-dedup is not supported: the FTS and "
+                "link-table delta paths assume base and delta hold disjoint "
+                "urls, so re-crawled urls would double-count in search stats "
+                "and link counts; rebuild a re-crawl with `run` or `merge "
+                "--global-edge-dedup` instead")
     _ensure_ray()
 
     from . import metrics, oracle, synth
@@ -202,6 +209,12 @@ def main(argv: list[str] | None = None) -> int:
 
         from .pipelines import kgqueries, weblinks
 
+        # absolute paths, so the _RUNS/_FTS manifests written below resolve
+        # from any working directory (and Ray workers never see a path
+        # relative to the caller's)
+        for a in ("base_pages", "base_out", "delta_pages", "out"):
+            if getattr(args, a):
+                setattr(args, a, _os.path.abspath(getattr(args, a)))
         timings: dict[str, float] = {}
 
         def timed(name, fn):
@@ -233,9 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         # 2. merged graph: re-reduce over the UNION of record artifacts —
         # the base pages are never re-read (kg.merge_runs contract)
         res = timed("merge_runs", lambda: kg.merge_runs(
-            base_runs + [delta_out], args.out,
-            global_edge_dedup=args.global_edge_dedup,
-        ))
+            base_runs + [delta_out], args.out))
 
         # 3. FTS: base index roots reused verbatim when the base is a
         # prior update (zero work); built once otherwise. The delta index
@@ -275,8 +286,7 @@ def main(argv: list[str] | None = None) -> int:
 
         # manifests that make THIS out dir usable as the next --base-out
         with open(_os.path.join(args.out, "_RUNS"), "w") as f:
-            json.dump([_os.path.abspath(d) for d in base_runs]
-                      + [_os.path.abspath(delta_out)], f)
+            json.dump(base_runs + [delta_out], f)
         with open(_os.path.join(args.out, "_FTS"), "w") as f:
             json.dump(list(base_fts) + [fts_delta], f)
 

@@ -39,7 +39,7 @@ import ray
 import ray.data as rd
 
 from ..functions.textnorm import norm_surface
-from ..stages.canonicalize import NODES_SCHEMA, component_rows
+from ..stages.canonicalize import ENTITY_SCHEMA, NODES_SCHEMA, component_table
 
 
 def alias_relevant_set(alias: dict[str, tuple[str, str]]) -> set[str]:
@@ -108,19 +108,9 @@ def build_nodes_openvocab(
         batch_format="pyarrow",
     ).to_pandas()  # bounded by |alias dict|, never by the corpus
 
-    merged_rows = component_rows(hits_df, alias) if len(hits_df) else []
-    merged_tbl = pa.Table.from_pydict(
-        {
-            "canonical_name": [r["canonical_name"] for r in merged_rows],
-            "ent_type": [r["ent_type"] for r in merged_rows],
-            "mention_count": [r["mention_count"] for r in merged_rows],
-            "link_count": [r["link_count"] for r in merged_rows],
-            "perfect_links": [r["perfect_links"] for r in merged_rows],
-            "max_score": [r["max_score"] for r in merged_rows],
-            "min_score": [r["min_score"] for r in merged_rows],
-            "aliases": [r["aliases"] for r in merged_rows],
-        },
-        schema=pa.schema([f for f in NODES_SCHEMA if f.name != "entity_id"]),
+    merged_tbl, row_of = (
+        component_table(hits_df, alias) if len(hits_df)
+        else (ENTITY_SCHEMA.empty_table(), {})
     )
 
     def singleton_nodes(t: pa.Table) -> pa.Table:
@@ -140,9 +130,7 @@ def build_nodes_openvocab(
                 pc.cast(t["min_score"], pa.float64()),
                 aliases,
             ],
-            schema=pa.schema(
-                [f for f in NODES_SCHEMA if f.name != "entity_id"]
-            ),
+            schema=ENTITY_SCHEMA,
         )
 
     singles_ds = counts_ds.map_batches(
@@ -172,7 +160,7 @@ def build_nodes_openvocab(
             np.arange(offset, offset + t.num_rows, dtype=np.int64)
         )
         return pa.Table.from_arrays(
-            [ids] + [t.column(f.name) for f in NODES_SCHEMA if f.name != "entity_id"],
+            [ids] + [t.column(f.name) for f in ENTITY_SCHEMA],
             schema=NODES_SCHEMA,
         )
 
@@ -225,11 +213,10 @@ def build_nodes_openvocab(
     # norms, matching the default id_map); singletons map themselves. The
     # extra-members dict is bounded by the alias dictionary and broadcast.
     extra_members: dict[str, list[str]] = {}
-    for r in merged_rows:
-        seen = set(r["aliases"])
-        extras = [m for m in r["_members"] if m not in seen]
-        if extras:
-            extra_members[r["canonical_name"]] = extras
+    names = merged_tbl["canonical_name"].to_pylist()
+    seen = set(pc.list_flatten(merged_tbl["aliases"]).to_pylist())
+    for m in sorted(set(row_of) - seen):
+        extra_members.setdefault(names[row_of[m]], []).append(m)
     xm_ref = ray.put(extra_members)
 
     # ---- hot map: the top hot_cap nodes exploded to all their members.

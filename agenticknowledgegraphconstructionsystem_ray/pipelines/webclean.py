@@ -325,6 +325,9 @@ def q53_dup_spans(sf_dir: str):
             Sum("n_covered", alias_name="n_covered"),
         )
         .sort("doc_id")
+        # the pandas map_groups above can make the aggregate emit pandas
+        # blocks (about one run in three at sf0.01); callers read Arrow
+        .map_batches(lambda t: t, batch_format="pyarrow")
     )
 
 

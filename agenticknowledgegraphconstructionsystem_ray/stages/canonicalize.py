@@ -14,12 +14,13 @@ reference, re-expressed as a two-level aggregation:
    effect as salting the groupby key, without a second merge pass);
 3. a final small ``groupby("norm_surface")`` merges block partials.
 
-Entity merging (alias long-form <-> acronym) runs union-find on the DRIVER
-over the distinct-surface table (bounded by vocabulary size, not corpus
-size; fallback for larger-than-driver vocabularies: iterated min-label
-propagation — see state/unionfind.py docstring). The reference lists this
-disambiguation as future work (``README.md:1442-1444``); the north star
-requires it.
+Entity merging (alias long-form <-> acronym) runs on the DRIVER over the
+distinct-surface table, which is bounded by vocabulary size, not corpus
+size. A dict union-find (state/unionfind.py) links each alias to its
+canonical's norm; then ONE columnar pass tags every counts row with its
+component root and ``group_by(root)`` sums the counts, takes the score
+max/min and lists the aliases — no per-component Python loop. The reference
+lists this disambiguation as future work (``README.md:1442-1444``).
 """
 
 from __future__ import annotations
@@ -86,54 +87,73 @@ NODES_SCHEMA = pa.schema(
 )
 
 
-def component_rows(
+# node columns before entity ids are assigned, and the per-component
+# aggregations that fill ENTITY_SCHEMA's columns after name and type
+ENTITY_SCHEMA = pa.schema([f for f in NODES_SCHEMA if f.name != "entity_id"])
+_COMPONENT_AGGS = [
+    ("mention_count", "sum"), ("link_count", "sum"), ("perfect_links", "sum"),
+    ("max_score", "max"), ("min_score", "min"), ("norm_surface", "list"),
+]
+
+
+def component_table(
     counts: pd.DataFrame, alias: dict[str, tuple[str, str]]
-) -> list[dict]:
-    """Union-find over the counts rows -> node row dicts (no entity ids yet),
-    sorted by canonical name; each row carries ``_members`` (all component
-    members incl. unseen canonical norms) for id-map construction."""
+) -> tuple[pa.Table, dict[str, int]]:
+    """Union-find + one columnar aggregation -> (node rows without entity
+    ids, ordered by (canonical_name, component root); member norm -> row
+    index for every member, unseen canonical norms included).
+
+    ``canonical_name``/``ent_type`` are the smallest alias canonical/type
+    among the members (else ``"concept"``); a component with no alias
+    member is one observed norm, which names itself."""
+    counts = pa.Table.from_pandas(counts, preserve_index=False)
+    norms = counts["norm_surface"].to_pylist()
     uf = UnionFind()
-    for norm in counts["norm_surface"]:
+    for norm in norms:
         uf.add(norm)
         hit = alias.get(norm)
         if hit is not None:
             # union with the canonical form's own normalized surface; alias
             # chains (acronym <-> long form <-> hyphenated) meet transitively.
             uf.union(norm, norm_surface(hit[0]))
+    root_of = {m: uf.find(m) for m in uf.parent}
 
-    by_norm = counts.set_index("norm_surface")
+    # name and type come from the alias entries of the members — never from
+    # the canonical's own norm, which a user-supplied alias dict need not
+    # contain (it maps aliases, not necessarily the canonical itself)
+    canon: dict[str, str] = {}
+    ent_type: dict[str, str] = {}
+    for m, r in root_of.items():
+        hit = alias.get(m)
+        if hit is not None:
+            canon[r] = min(canon.get(r, hit[0]), hit[0])
+            ent_type[r] = min(ent_type.get(r, hit[1]), hit[1])
 
-    rows = []
-    for _, members in sorted(uf.components().items()):
-        canon_names = sorted(
-            {alias[m][0] for m in members if m in alias}
+    # one pass over all components; single-threaded so each aliases list
+    # keeps the norm order of the sorted input
+    g = (
+        counts.append_column(
+            "root", pa.array([root_of[n] for n in norms], pa.string())
         )
-        # entity type: smallest member type by name — never indexes the
-        # canonical's own norm, which a user-supplied alias dict need not
-        # contain (it maps aliases, not necessarily the canonical itself)
-        member_types = sorted({alias[m][1] for m in members if m in alias})
-        ent_type = member_types[0] if member_types else "concept"
-        canonical = canon_names[0] if canon_names else members[0]
-        seen = [m for m in members if m in by_norm.index]
-        if not seen:
-            continue  # canonical surface never observed and no members seen
-        sub = by_norm.loc[seen]
-        rows.append(
-            {
-                "canonical_name": canonical,
-                "ent_type": ent_type,
-                "mention_count": int(sub["mention_count"].sum()),
-                "link_count": int(sub["link_count"].sum()),
-                "perfect_links": int(sub["perfect_links"].sum()),
-                "max_score": float(sub["max_score"].max()),
-                "min_score": float(sub["min_score"].min()),
-                "aliases": sorted(seen),
-                "_members": members,
-            }
-        )
+        .sort_by("norm_surface")
+        .group_by("root", use_threads=False)
+        .aggregate(_COMPONENT_AGGS)
+    )
+    roots = g["root"].to_pylist()
+    g = pa.Table.from_arrays(
+        [
+            pa.array([canon.get(r, r) for r in roots], pa.string()),
+            pa.array([ent_type.get(r, "concept") for r in roots], pa.string()),
+            *(g[f"{col}_{op}"] for col, op in _COMPONENT_AGGS),
+            g["root"],
+        ],
+        names=[*ENTITY_SCHEMA.names, "root"],
+    ).sort_by([("canonical_name", "ascending"), ("root", "ascending")])
 
-    rows.sort(key=lambda r: r["canonical_name"])
-    return rows
+    # every component holds an observed norm: union-find is seeded from them
+    row_of_root = {r: i for i, r in enumerate(g["root"].to_pylist())}
+    row_of = {m: row_of_root[r] for m, r in root_of.items()}
+    return g.drop_columns(["root"]).cast(ENTITY_SCHEMA), row_of
 
 
 def build_entity_table(
@@ -146,28 +166,13 @@ def build_entity_table(
     perfect_links, max_score, min_score (already merged across blocks).
     Deterministic: entity ids are the dense rank of sorted canonical names.
     """
-    rows = component_rows(counts, alias)
-    id_map: dict[str, tuple[int, str]] = {}
-    out = {
-        "entity_id": [],
-        "canonical_name": [],
-        "ent_type": [],
-        "mention_count": [],
-        "link_count": [],
-        "perfect_links": [],
-        "max_score": [],
-        "min_score": [],
-        "aliases": [],
-    }
-    for eid, r in enumerate(rows):
-        for m in r.pop("_members"):
-            id_map[m] = (eid, r["canonical_name"])
-        out["entity_id"].append(eid)
-        for k in r:
-            out[k].append(r[k])
-
-    nodes = pa.Table.from_pydict(out, schema=NODES_SCHEMA)
-    return nodes, id_map
+    rows, row_of = component_table(counts, alias)
+    names = rows["canonical_name"].to_pylist()
+    nodes = rows.add_column(
+        0, NODES_SCHEMA.field("entity_id"),
+        pa.array(range(rows.num_rows), pa.int64()),
+    )
+    return nodes, {m: (i, names[i]) for m, i in row_of.items()}
 
 
 class ApplyEntityIds:

@@ -1,13 +1,16 @@
 """Union-find (disjoint set) for entity canonicalization.
 
 Connected components is the one operator with no direct Ray Data primitive
-(SURVEY.md §7.4). The candidate alias-edge set is small relative to the corpus
-(it is bounded by the number of DISTINCT surface forms, not by row count), so
-the engine aggregates distinct surfaces via a salted/partial groupby and runs
-union-find on the driver. For edge sets too large for one machine, the
-documented fallback is iterated min-label propagation via ``groupby`` (each
-round: node takes min component label of its neighborhood) — same fixpoint,
-O(diameter) rounds.
+(SURVEY.md §7.4). The alias-edge set is bounded by the number of DISTINCT
+surface forms, not by row count, so the engine merges per-surface counts with
+a partial groupby and runs this dict union-find on the driver: one
+``add``/``union`` per surface. It only assigns each surface its component
+root; the per-component sums, score max/min and alias lists come from one
+Arrow ``group_by(root)`` over the counts table
+(stages/canonicalize.component_table), never from a loop over components.
+For edge sets too large for one machine, the fallback is iterated min-label
+propagation via ``groupby`` (stages/canonicalize.label_propagation_*): same
+fixpoint, O(diameter) rounds.
 """
 
 from __future__ import annotations

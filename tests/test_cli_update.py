@@ -225,3 +225,70 @@ def test_update_cost_is_delta_bound(update_env):
         e["out"], "delta_run",
         "extracted/chunk=*/kind=page/*.parquet"))), columns=["url"]).num_rows
     assert delta_extracted == delta_pages  # 2 of 6 files, not the corpus
+
+
+def test_chained_update_relative_out_resolves_from_another_cwd(
+        update_env, tmp_path, monkeypatch):
+    """An update made with a relative --out must still be a valid
+    --base-out from another working directory: its _RUNS and _FTS
+    manifests hold absolute paths, and a search over the chained FTS roots
+    equals the full index."""
+    import json
+
+    from agenticknowledgegraphconstructionsystem_ray.cli import main as cli_main
+    from agenticknowledgegraphconstructionsystem_ray.pipelines import kgqueries
+
+    e = update_env
+    dirs = {}
+    for name, part in (("d1", e["files"][4:5]), ("d2", e["files"][5:])):
+        d = tmp_path / f"pages_{name}"
+        d.mkdir()
+        for f in part:
+            os.symlink(f, d / os.path.basename(f))
+        dirs[name] = str(d)
+
+    monkeypatch.chdir(tmp_path)
+    assert cli_main([
+        "update", "--base-pages", e["base_pages"], "--base-out",
+        e["base_out"], "--delta-pages", dirs["d1"], "--out", "u1",
+        "--chunk-files", "2",
+    ]) == 0
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert cli_main([
+        "update", "--base-out", str(tmp_path / "u1"), "--delta-pages",
+        dirs["d2"], "--out", str(tmp_path / "u2"), "--chunk-files", "2",
+    ]) == 0
+
+    assert _edges(str(tmp_path / "u2")).equals(_edges(e["full_out"]))
+    with open(tmp_path / "u2" / "_FTS") as f:
+        roots = json.load(f)
+    with open(tmp_path / "u2" / "_RUNS") as f:
+        runs = json.load(f)
+    assert all(os.path.isabs(p) for p in roots + runs)
+    q, K = list(kgqueries.KG_SEARCH_QUERY), kgqueries.KG_SEARCH_K
+    full_root = kgqueries.build_fts_postings(
+        e["full_out"], str(tmp_path / "fts_full_rel"))
+    got = kgqueries._search_indexed_over(roots, runs, q, K)
+    want = kgqueries._search_indexed_over(full_root, e["full_out"], q, K)
+    assert got.equals(want)
+    shutil.rmtree(full_root, ignore_errors=True)
+
+
+def test_update_rejects_global_edge_dedup(update_env, tmp_path, capsys):
+    """update's FTS and link delta paths assume base and delta hold
+    disjoint urls, so the re-crawl flag is refused before any work."""
+    from agenticknowledgegraphconstructionsystem_ray.cli import main as cli_main
+
+    e = update_env
+    out = tmp_path / "dedup"
+    with pytest.raises(SystemExit) as exc:
+        cli_main([
+            "update", "--base-pages", e["base_pages"], "--base-out",
+            e["base_out"], "--delta-pages", e["delta_pages"], "--out",
+            str(out), "--chunk-files", "2", "--global-edge-dedup",
+        ])
+    assert exc.value.code == 2
+    assert "disjoint urls" in capsys.readouterr().err
+    assert not out.exists()
