@@ -2,10 +2,11 @@
 
 The driver testdata has no ``pages`` table, so each query deterministically
 synthesizes the Common-Crawl-style corpus for the requested scale factor
-(cached under /tmp, seeded — see synth.py) and runs the pipeline with resume
-on, so repeated queries share phase-A work. These are non-SQL-expressible
-(deterministic NER/union-find), so the driver records rows-only checks; the
-pytest suite holds the strong oracle checks (byte-identical text, exact P/R).
+(cached under state.artifacts.ROOT, seeded — see synth.py) and runs the
+pipeline with resume on, so repeated queries share phase-A work. These are
+non-SQL-expressible (deterministic NER/union-find), so the driver records
+rows-only checks; the pytest suite holds the strong oracle checks
+(byte-identical text, exact P/R).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import re
 import ray.data as rd
 
 from .. import synth
+from ..state.artifacts import cache_root, ensure_artifact, source_fingerprint
 from . import kg
 
 
@@ -27,7 +29,7 @@ def sf_of(sf_dir: str) -> float:
 def _ensure_run(sf_dir: str) -> str:
     sf = sf_of(sf_dir)
     pages_dir = synth.ensure_pages(sf)
-    out_dir = f"/tmp/agkg_out/sf{sf:g}"
+    out_dir = cache_root("out", f"sf{sf:g}")
     cfg = kg.KGConfig(pages_dir=pages_dir, out_dir=out_dir)
     kg.ensure_complete(cfg)
     return out_dir
@@ -800,8 +802,8 @@ def _kg_search_impl(sf_dir: str, qterms: list, K: int):
 # rows, AND-match + BM25 from a url-keyed groupby bounded by the query
 # terms' posting sizes — exact at ANY selectivity with no cap heuristic
 # (a stop-word term pays its own posting-list size, like every FTS
-# engine). Marker-guarded atomic layout with a source fingerprint, same
-# contract as the SMB/link-table/ANN artifacts.
+# engine). Cached through state.artifacts.ensure_artifact with a source
+# fingerprint, like every persisted artifact.
 # ---------------------------------------------------------------------------
 
 FTS_BUCKETS = 64
@@ -816,7 +818,7 @@ FTS_ROW_GROUP = 8192
 
 def fts_root(sf_dir: str) -> str:
     """Cache root of the full-text index for a corpus."""
-    return f"/tmp/agkg_fts/sf{sf_of(sf_dir):g}"
+    return cache_root("fts", f"sf{sf_of(sf_dir):g}")
 
 
 def _fts_bucket(term: str) -> int:
@@ -842,34 +844,23 @@ def build_fts_postings(run_dirs, root: str) -> str:
     corpus stats; re-crawls must rebuild the base index (the same
     disjointness assumption kg.merge_runs makes without
     global_edge_dedup)."""
-    import json
-    import shutil
-
     import pyarrow as pa
 
     from .scoring import _TOKEN_RE
 
-    from ..state.artifacts import source_fingerprint
-
-    marker = os.path.join(root, "_DONE")
+    # every run writes a page record per input url (lang-filtered pages
+    # included), so no page records means a wrong or unfinished run dir
+    pages = kg._kind_files(run_dirs, "page")
+    if not pages:
+        raise FileNotFoundError(
+            f"no extracted page records under {run_dirs!r} — not a "
+            "completed run")
     # src: sizes/mtimes of the runs' extracted-text files — a regenerated
     # corpus (same sf, same cache root) rebuilds the index instead of
-    # serving stale postings (same guarantee as the ANN/BPE artifacts).
+    # serving stale postings.
     contract = {"v": 4, "layout": kg.LAYOUT_VERSION, "nb": FTS_BUCKETS,
                 "pos_cap": FTS_POS_CAP, "rg": FTS_ROW_GROUP,
-                "src": source_fingerprint(*kg._kind_files(run_dirs, "page"))}
-    if os.path.exists(marker):
-        try:
-            with open(marker) as f:
-                ok = json.load(f) == contract
-        except (OSError, ValueError):
-            ok = False
-        if ok:
-            return root
-        shutil.rmtree(root, ignore_errors=True)
-
-    tmp = root + f".tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
+                "src": source_fingerprint(*pages)}
 
     def fts_rows(t: pa.Table) -> pa.Table:
         bkts, terms, urls, tfs, dls, poss = [], [], [], [], [], []
@@ -906,6 +897,21 @@ def build_fts_postings(run_dirs, root: str) -> str:
             }
         )
 
+    def build(tmp: str) -> None:
+        _write_postings(
+            kg.text_dataset(run_dirs, columns=["url", "text"])
+            .map_batches(fts_rows, batch_format="pyarrow"),
+            tmp,
+        )
+
+    return ensure_artifact(root, contract, build)
+
+
+def _write_postings(rows: rd.Dataset, tmp: str) -> None:
+    """The postings write shared by build and compaction: bucket shuffle,
+    per-bucket (term, url) sort, bkt-partitioned row-grouped parquet."""
+    import pyarrow as pa
+
     # v4: ONE bucket-keyed shuffle + per-bucket in-task (term, url) sort
     # before the partitioned write — the only all-to-all in the build,
     # the classic index-build trade: it clusters each term's postings
@@ -921,34 +927,13 @@ def build_fts_postings(run_dirs, root: str) -> str:
         return t.sort_by([("term", "ascending"), ("url", "ascending")])
 
     (
-        kg.text_dataset(run_dirs, columns=["url", "text"])
-        .map_batches(fts_rows, batch_format="pyarrow")
-        .groupby("bkt")
+        rows.groupby("bkt")
         .map_groups(sort_bucket, batch_format="pyarrow")
         .write_parquet(
             os.path.join(tmp, "postings"), partition_cols=["bkt"],
             compression="zstd", row_group_size=FTS_ROW_GROUP,
         )
     )
-    with open(os.path.join(tmp, "_DONE"), "w") as f:
-        json.dump(contract, f)
-    if os.path.exists(marker):
-        try:
-            with open(marker) as f:
-                ok = json.load(f) == contract
-        except (OSError, ValueError):
-            ok = False
-        if ok:
-            shutil.rmtree(tmp, ignore_errors=True)
-            return root
-    shutil.rmtree(root, ignore_errors=True)
-    try:
-        os.replace(tmp, root)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not os.path.exists(marker):
-            raise
-    return root
 
 
 def compact_fts_postings(roots: list, dest: str) -> str:
@@ -957,36 +942,21 @@ def compact_fts_postings(roots: list, dest: str) -> str:
     corpus text, so compaction cost is proportional to index size (the
     ordinary LSM/segment-merge step every incremental index eventually
     runs). Output is query-identical to reading the union of the input
-    layouts (pinned in tests/test_cli_update.py)."""
+    layouts (pinned in tests/test_cli_update.py). Deleted or emptied
+    input roots raise before ``dest`` is touched, so a valid compacted
+    layout survives the segment-merge follow-up of removing its inputs."""
     import glob as _glob
-    import json
-    import shutil
 
     import pyarrow as pa
     import pyarrow.compute as pc
-
-    from ..state.artifacts import source_fingerprint
 
     files = []
     for r in roots:
         files.extend(_glob.glob(
             os.path.join(r, "postings", "**", "*.parquet"), recursive=True))
-    marker = os.path.join(dest, "_DONE")
     contract = {"v": 4, "layout": kg.LAYOUT_VERSION, "nb": FTS_BUCKETS,
                 "pos_cap": FTS_POS_CAP, "rg": FTS_ROW_GROUP,
                 "compacted": True, "src": source_fingerprint(*files)}
-    if os.path.exists(marker):
-        try:
-            with open(marker) as f:
-                ok = json.load(f) == contract
-        except (OSError, ValueError):
-            ok = False
-        if ok:
-            return dest
-        shutil.rmtree(dest, ignore_errors=True)
-
-    tmp = dest + f".tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
 
     def with_bkt(t: pa.Table) -> pa.Table:
         # hive partitioning may hand bkt back as string/dictionary —
@@ -998,31 +968,13 @@ def compact_fts_postings(roots: list, dest: str) -> str:
             t.schema.get_field_index("bkt"), "bkt", pc.cast(b, pa.int32())
         )
 
-    def sort_bucket(t: pa.Table) -> pa.Table:
-        return t.sort_by([("term", "ascending"), ("url", "ascending")])
+    def build(tmp: str) -> None:
+        parts = [rd.read_parquet(os.path.join(r, "postings")) for r in roots]
+        unioned = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+        _write_postings(
+            unioned.map_batches(with_bkt, batch_format="pyarrow"), tmp)
 
-    parts = [rd.read_parquet(os.path.join(r, "postings")) for r in roots]
-    unioned = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-    (
-        unioned
-        .map_batches(with_bkt, batch_format="pyarrow")
-        .groupby("bkt")
-        .map_groups(sort_bucket, batch_format="pyarrow")
-        .write_parquet(
-            os.path.join(tmp, "postings"), partition_cols=["bkt"],
-            compression="zstd", row_group_size=FTS_ROW_GROUP,
-        )
-    )
-    with open(os.path.join(tmp, "_DONE"), "w") as f:
-        json.dump(contract, f)
-    shutil.rmtree(dest, ignore_errors=True)
-    try:
-        os.replace(tmp, dest)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not os.path.exists(marker):
-            raise
-    return dest
+    return ensure_artifact(dest, contract, build)
 
 
 def _fts_files(roots, buckets: set[int]) -> list:
@@ -1431,42 +1383,32 @@ def _kg_search_enrich(out: str, top: list) -> "pa.Table":
 
 def _ensure_merge_run(sf_dir: str) -> str:
     import glob
-    import hashlib
-
-    from ..state.artifacts import source_fingerprint
 
     sf = sf_of(sf_dir)
     pages_dir = synth.ensure_pages(sf)
-    files = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
-    root = f"/tmp/agkg_merge/sf{sf:g}"
-    merged = os.path.join(root, "merged")
+    root = cache_root("merge", f"sf{sf:g}")
     # fingerprint (not just basenames): a regenerated corpus at the same
-    # path invalidates the cached merge run (uniform artifact contract)
-    tag = hashlib.sha1(
-        repr((kg.LAYOUT_VERSION, source_fingerprint(pages_dir))).encode()
-    ).hexdigest()
-    marker = os.path.join(merged, "_MERGE_OK")
-    if os.path.exists(marker) and open(marker).read() == tag:
-        return merged
+    # path invalidates the cached merge run
+    contract = {"layout": kg.LAYOUT_VERSION,
+                "src": source_fingerprint(pages_dir)}
 
-    halves = []
-    mid = len(files) // 2
-    for name, part in (("a", files[:mid]), ("b", files[mid:])):
-        pdir = os.path.join(root, f"pages_{name}")
-        os.makedirs(pdir, exist_ok=True)
-        for f in part:
-            dst = os.path.join(pdir, os.path.basename(f))
-            if not os.path.exists(dst):
-                os.symlink(f, dst)
-        out = os.path.join(root, f"out_{name}")
-        kg.ensure_complete(kg.KGConfig(pages_dir=pdir, out_dir=out))
-        halves.append(out)
+    def build(tmp: str) -> None:
+        files = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
+        halves = []
+        mid = len(files) // 2
+        for name, part in (("a", files[:mid]), ("b", files[mid:])):
+            pdir = os.path.join(root, f"pages_{name}")
+            os.makedirs(pdir, exist_ok=True)
+            for f in part:
+                dst = os.path.join(pdir, os.path.basename(f))
+                if not os.path.exists(dst):
+                    os.symlink(f, dst)
+            out = os.path.join(root, f"out_{name}")
+            kg.ensure_complete(kg.KGConfig(pages_dir=pdir, out_dir=out))
+            halves.append(out)
+        kg.merge_runs(halves, tmp)
 
-    kg.merge_runs(halves, merged)
-    with open(marker + ".tmp", "w") as f:
-        f.write(tag)
-    os.replace(marker + ".tmp", marker)
-    return merged
+    return ensure_artifact(os.path.join(root, "merged"), contract, build)
 
 
 def kg_merge_nodes(sf_dir: str):

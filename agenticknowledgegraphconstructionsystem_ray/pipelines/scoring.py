@@ -662,97 +662,61 @@ def bpe_root(sf_dir: str) -> str:
     """Cache root of the persisted BPE tokenizer artifact for a corpus."""
     import os
 
-    return f"/tmp/agkg_bpe/{os.path.basename(os.path.normpath(sf_dir))}"
+    from ..state.artifacts import cache_root
+
+    return cache_root("bpe", os.path.basename(os.path.normpath(sf_dir)))
 
 
 def _ensure_bpe_merges(sf_dir: str) -> list[tuple[str, str, int]]:
     """Build (or reuse) the corpus-learned merge table — the tokenizer
     artifact every production pipeline persists (HF tokenizer.json's
-    merges). Same marker-guarded atomic pattern as the SMB layout / link
-    table / ANN index: q70_bpe_merges, tx_bpe_encode and tx_fertility all
-    consume this ONE artifact instead of re-running the word-count
-    shuffle + merge loop per call; a changed corpus invalidates via the
-    source fingerprint."""
-    import json
+    merges), cached through state.artifacts.ensure_artifact:
+    q70_bpe_merges, tx_bpe_encode and tx_fertility all consume this ONE
+    artifact instead of re-running the word-count shuffle + merge loop per
+    call; a changed corpus invalidates via the source fingerprint."""
     import os
-    import shutil
 
     import pyarrow.parquet as _pq
 
     from ..functions import bpe
     from ..functions.bpe import WORD_CAP
     from ..sources.tables import table_path
+    from ..state.artifacts import ensure_artifact, source_fingerprint
 
-    root = bpe_root(sf_dir)
-    marker = os.path.join(root, "_DONE")
-    src = os.path.abspath(table_path(sf_dir, "documents"))
-    st = os.stat(src)
-    contract = {
-        "v": 1,
-        "word_cap": WORD_CAP,
-        "src": [src, st.st_size, st.st_mtime_ns],
-    }
-    table_file = os.path.join(root, "merges.parquet")
-    if os.path.exists(marker):
-        try:
-            with open(marker) as f:
-                ok = json.load(f) == contract
-        except (OSError, ValueError):
-            ok = False
-        if ok:
-            try:
-                t = _pq.read_table(table_file)
-            except (OSError, FileNotFoundError) as e:
-                # layout vanished between the marker check and the read
-                # (concurrent mismatched-fingerprint rebuild) — same
-                # retryable-error contract as training._read_bucket
-                raise FileNotFoundError(
-                    f"BPE artifact {root} was removed or rebuilt "
-                    "mid-read — re-run the query"
-                ) from e
-            return list(
-                zip(
-                    t["sym_a"].to_pylist(),
-                    t["sym_b"].to_pylist(),
-                    t["n"].to_pylist(),
-                )
-            )
-        shutil.rmtree(root, ignore_errors=True)
+    def build(tmp: str) -> None:
+        merges = bpe.learn_merges(_capped_word_counts(sf_dir))
+        _pq.write_table(
+            pa.table(
+                {
+                    "rank": pa.array(range(len(merges)), pa.int64()),
+                    "sym_a": pa.array([m[0] for m in merges], pa.string()),
+                    "sym_b": pa.array([m[1] for m in merges], pa.string()),
+                    "n": pa.array([m[2] for m in merges], pa.int64()),
+                }
+            ),
+            os.path.join(tmp, "merges.parquet"),
+        )
 
-    merges = bpe.learn_merges(_capped_word_counts(sf_dir))
-    tmp = root + f".tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp, exist_ok=True)
-    _pq.write_table(
-        pa.table(
-            {
-                "rank": pa.array(range(len(merges)), pa.int64()),
-                "sym_a": pa.array([m[0] for m in merges], pa.string()),
-                "sym_b": pa.array([m[1] for m in merges], pa.string()),
-                "n": pa.array([m[2] for m in merges], pa.int64()),
-            }
-        ),
-        os.path.join(tmp, "merges.parquet"),
+    root = ensure_artifact(
+        bpe_root(sf_dir),
+        {"v": 1, "word_cap": WORD_CAP,
+         "src": source_fingerprint(table_path(sf_dir, "documents"))},
+        build,
     )
-    with open(os.path.join(tmp, "_DONE"), "w") as f:
-        json.dump(contract, f)
-    if os.path.exists(marker):
-        try:
-            with open(marker) as f:
-                ok = json.load(f) == contract
-        except (OSError, ValueError):
-            ok = False
-        if ok:  # concurrent winner promoted a matching artifact
-            shutil.rmtree(tmp, ignore_errors=True)
-            return merges
-    shutil.rmtree(root, ignore_errors=True)
     try:
-        os.replace(tmp, root)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not os.path.exists(marker):
-            raise
-    return merges
+        t = _pq.read_table(os.path.join(root, "merges.parquet"))
+    except OSError as e:
+        # layout vanished between the marker check and the read
+        # (concurrent mismatched-fingerprint rebuild) — same
+        # retryable-error contract as training._read_bucket
+        raise FileNotFoundError(
+            f"BPE artifact {root} was removed or rebuilt "
+            "mid-read — re-run the query"
+        ) from e
+    return list(
+        zip(t["sym_a"].to_pylist(), t["sym_b"].to_pylist(),
+            t["n"].to_pylist())
+    )
 
 
 def q70_bpe_merges(sf_dir: str):

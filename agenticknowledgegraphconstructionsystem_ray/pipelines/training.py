@@ -116,25 +116,18 @@ def smb_root(sf_dir: str) -> str:
     scheme lives (bench and tests clear caches through this)."""
     import os
 
-    return f"/tmp/agkg_smb/{os.path.basename(os.path.normpath(sf_dir))}"
+    from ..state.artifacts import cache_root
+
+    return cache_root("smb", os.path.basename(os.path.normpath(sf_dir)))
 
 
 def _smb_layout(sf_dir: str) -> str:
-    """Build (or reuse) the bucketed layout for orders + prepped lineitem.
-    Atomic + concurrency-safe: built under a pid-suffixed tmp then
-    os.replace'd (two concurrent cold-cache builders each write their own
-    tmp; the loser accepts the winner's identical deterministic layout); a
-    _DONE marker records the bucketing contract (key, bucket count) the
-    join tasks rely on."""
-    import json
-    import os
-    import shutil
-
+    """Build (or reuse) the bucketed layout for orders + prepped lineitem,
+    cached through state.artifacts.ensure_artifact; the _DONE contract
+    records the bucketing (key, bucket count) the join tasks rely on."""
     from ..sources.tables import table_path
-    from ..state.artifacts import source_fingerprint
+    from ..state.artifacts import ensure_artifact, source_fingerprint
 
-    root = smb_root(sf_dir)
-    marker = os.path.join(root, "_DONE")
     # src: sizes/mtimes of the two bucketed tables — a swapped corpus with
     # a colliding basename rebuilds instead of serving a stale layout.
     contract = {
@@ -144,18 +137,12 @@ def _smb_layout(sf_dir: str) -> str:
             table_path(sf_dir, "orders"), table_path(sf_dir, "lineitem")
         ),
     }
-    if os.path.exists(marker):
-        try:
-            with open(marker) as f:
-                ok = json.load(f) == contract
-        except (OSError, ValueError):
-            ok = False
-        if ok:
-            return root
-        shutil.rmtree(root, ignore_errors=True)
+    return ensure_artifact(
+        smb_root(sf_dir), contract, lambda tmp: _build_smb(tmp, sf_dir))
 
-    tmp = root + f".tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
+
+def _build_smb(tmp: str, sf_dir: str) -> None:
+    import os
 
     def bucket_orders(t: pa.Table) -> pa.Table:
         # SMB_BUCKETS is a power of two -> key % B == key & (B-1)
@@ -191,31 +178,6 @@ def _smb_layout(sf_dir: str) -> str:
     ).map_batches(bucket_lineitem, batch_format="pyarrow").write_parquet(
         os.path.join(tmp, "lineitem"), partition_cols=["bkt"]
     )
-    with open(os.path.join(tmp, "_DONE"), "w") as f:
-        json.dump(contract, f)
-    # Promote WITHOUT deleting a valid concurrent winner: if a matching
-    # layout appeared while we built (the other cold-cache builder won),
-    # accept theirs — rmtree-then-replace here would briefly delete a
-    # layout that live queries may have already resolved.
-    if os.path.exists(marker):
-        try:
-            with open(marker) as f:
-                ok = json.load(f) == contract
-        except (OSError, ValueError):
-            ok = False
-        if ok:
-            shutil.rmtree(tmp, ignore_errors=True)
-            return root
-    shutil.rmtree(root, ignore_errors=True)
-    try:
-        os.replace(tmp, root)
-    except OSError:
-        # a concurrent builder promoted its (identical, deterministic)
-        # layout between our rmtree and replace — accept theirs
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not os.path.exists(marker):
-            raise
-    return root
 
 
 def ta_bucketed_join(sf_dir: str):

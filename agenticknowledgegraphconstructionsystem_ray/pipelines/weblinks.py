@@ -48,6 +48,12 @@ from ray.data.aggregate import Count, Sum
 from .. import synth
 from ..functions.weblinks import host_id, host_of, resolve_outlinks
 from ..runtime import cluster_cpus
+from ..state.artifacts import (
+    cache_root,
+    ensure_artifact,
+    read_contract,
+    source_fingerprint,
+)
 from .kgqueries import sf_of
 
 
@@ -84,8 +90,8 @@ def wg_outlinks(sf_dir: str):
 # ---------------------------------------------------------------------------
 # Materialized link table: the whole wg_* family derives from ONE
 # (src_host, dst_host, n_links) aggregate, so the HTML scan + pair shuffle
-# runs ONCE per corpus (marker-guarded atomic parquet under /tmp) and every
-# derived query (graph, rank, HITS, weighted rank, reciprocity, Gini,
+# runs ONCE per corpus (cached through state.artifacts.ensure_artifact) and
+# every derived query (graph, rank, HITS, weighted rank, reciprocity, Gini,
 # concentration) reads the O(host-pairs) artifact instead of re-extracting
 # hrefs from 100 TB of HTML — the same extract-once-query-many contract the
 # KG queries already follow via kgqueries._ensure_run. Sentinel rows
@@ -120,7 +126,7 @@ def _sentinel_pair_partials(t: pa.Table) -> pa.Table:
 def links_root(sf_dir: str) -> str:
     """Cache root of the materialized link table — the one place the path
     scheme lives (bench and tests clear caches through this)."""
-    return f"/tmp/agkg_weblinks/sf{sf_of(sf_dir):g}"
+    return cache_root("weblinks", f"sf{sf_of(sf_dir):g}")
 
 
 def _ensure_link_tables(sf_dir: str) -> str:
@@ -135,61 +141,23 @@ def _ensure_link_tables(sf_dir: str) -> str:
 
 
 def _ensure_link_tables_for(pages_files: list, root: str) -> str:
-    """Marker-guarded link-table build over an explicit pages file list.
+    """Link-table build over an explicit pages file list, cached through
+    state.artifacts.ensure_artifact. The contract carries a source
+    fingerprint of the pages shards, so a regenerated or swapped corpus
+    whose cache root collides (same sf in the basename) rebuilds instead
+    of serving stale links."""
 
-    The contract carries a source fingerprint (sizes/mtimes of the pages
-    shards, `state.artifacts.source_fingerprint`) so a regenerated or
-    swapped corpus whose cache root collides (same sf in the basename)
-    rebuilds instead of serving stale links — the same invalidation
-    guarantee the ANN/BPE artifacts already had."""
-    import json
-    import shutil
+    def build(tmp: str) -> None:
+        (
+            rd.read_parquet(pages_files, columns=["url", "html"])
+            .map_batches(_sentinel_pair_partials, batch_format="pyarrow")
+            .groupby(["src_host", "dst_host"])
+            .aggregate(Sum("n_p", alias_name="n_links"))
+            .write_parquet(os.path.join(tmp, "links"), compression="zstd")
+        )
 
-    from ..state.artifacts import source_fingerprint
-
-    contract = {"v": 2, "src": source_fingerprint(*pages_files)}
-    marker = os.path.join(root, "_DONE")
-    if os.path.exists(marker):
-        try:
-            with open(marker) as f:
-                ok = json.load(f) == contract
-        except (OSError, ValueError):
-            ok = False
-        if ok:
-            return root
-        shutil.rmtree(root, ignore_errors=True)
-    tmp = root + f".tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    (
-        rd.read_parquet(pages_files, columns=["url", "html"])
-        .map_batches(_sentinel_pair_partials, batch_format="pyarrow")
-        .groupby(["src_host", "dst_host"])
-        .aggregate(Sum("n_p", alias_name="n_links"))
-        .write_parquet(os.path.join(tmp, "links"), compression="zstd")
-    )
-    with open(os.path.join(tmp, "_DONE"), "w") as f:
-        json.dump(contract, f)
-    # Promote WITHOUT deleting a valid concurrent winner (same contract as
-    # training._smb_layout): if a matching layout appeared while we built,
-    # accept it rather than briefly rmtree-ing a layout live queries may
-    # already have resolved.
-    if os.path.exists(marker):
-        try:
-            with open(marker) as f:
-                ok = json.load(f) == contract
-        except (OSError, ValueError):
-            ok = False
-        if ok:
-            shutil.rmtree(tmp, ignore_errors=True)
-            return root
-    shutil.rmtree(root, ignore_errors=True)
-    try:
-        os.replace(tmp, root)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not os.path.exists(marker):
-            raise
-    return root
+    return ensure_artifact(
+        root, {"v": 2, "src": source_fingerprint(*pages_files)}, build)
 
 
 def merge_link_tables(base_root: str, delta_pages_files: list,
@@ -199,34 +167,38 @@ def merge_link_tables(base_root: str, delta_pages_files: list,
     host-pair groupby-sum, written as the merged link table. Sentinel
     page-host rows ride along, so the output is row-identical to a full
     _ensure_link_tables build over base∪delta pages. Cost = delta scan +
-    O(host-pairs); the base corpus is never touched."""
-    import json
-    import shutil
+    O(host-pairs); the base corpus is never touched. The contract holds
+    the base table's own contract, so a rebuilt base invalidates the
+    merge."""
+    base_contract = read_contract(base_root)
+    if base_contract is None:
+        raise FileNotFoundError(
+            f"base link table {base_root} has no valid _DONE marker")
 
-    from ..state.artifacts import source_fingerprint
+    def build(tmp: str) -> None:
+        base = rd.read_parquet(os.path.join(base_root, "links"))
+        delta = (
+            rd.read_parquet(delta_pages_files, columns=["url", "html"])
+            .map_batches(_sentinel_pair_partials, batch_format="pyarrow")
+            .map_batches(
+                lambda t: t.rename_columns(
+                    ["src_host", "dst_host", "n_links"]),
+                batch_format="pyarrow",
+            )
+        )
+        (
+            base.union(delta)
+            .groupby(["src_host", "dst_host"])
+            .aggregate(Sum("n_links", alias_name="n_links"))
+            .write_parquet(os.path.join(tmp, "links"), compression="zstd")
+        )
 
-    base = rd.read_parquet(os.path.join(base_root, "links"))
-    delta = (
-        rd.read_parquet(delta_pages_files, columns=["url", "html"])
-        .map_batches(_sentinel_pair_partials, batch_format="pyarrow")
-        .map_batches(
-            lambda t: t.rename_columns(["src_host", "dst_host", "n_links"]),
-            batch_format="pyarrow",
-        )
+    return ensure_artifact(
+        dest,
+        {"v": 2, "src": source_fingerprint(*delta_pages_files),
+         "base": base_contract},
+        build,
     )
-    shutil.rmtree(dest, ignore_errors=True)
-    (
-        base.union(delta)
-        .groupby(["src_host", "dst_host"])
-        .aggregate(Sum("n_links", alias_name="n_links"))
-        .write_parquet(os.path.join(dest, "links"), compression="zstd")
-    )
-    with open(os.path.join(dest, "_DONE"), "w") as f:
-        json.dump(
-            {"v": 2, "src": source_fingerprint(*delta_pages_files),
-             "base": base_root}, f,
-        )
-    return dest
 
 
 def _links_dataset(sf_dir: str, with_sentinels: bool = False) -> rd.Dataset:

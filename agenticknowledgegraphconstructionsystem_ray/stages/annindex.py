@@ -4,12 +4,10 @@ The reference persists its search structure (tsvector GENERATED columns +
 GIN indexes, ``/root/reference/db_init.py:35-42``) so queries never re-derive
 it; this module applies the same build-once-query-many contract to the
 engine's vector-search family, which previously re-trained centroids /
-codebooks / re-coded every vector on every call. Pattern identical to the
-two proven layouts (``training.smb_root`` SMB join, ``weblinks.links_root``
-link table): marker-guarded atomic parquet under /tmp, a contract dict in
-the ``_DONE`` marker, concurrency-safe promote that never deletes a valid
-winner, and a source-file fingerprint so a changed corpus invalidates the
-artifact.
+codebooks / re-coded every vector on every call. Both layouts are cached
+through ``state.artifacts.ensure_artifact``, like every persisted artifact:
+the ``_DONE`` contract carries the quantizer parameters and the source
+table's fingerprint, so a changed corpus invalidates the index.
 
 Artifact layout (under ``ann_root(sf_dir, table)``)::
 
@@ -41,9 +39,7 @@ tests/test_annindex.py and the ann_* oracle battery.
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -51,6 +47,8 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
+
+from ..state.artifacts import cache_root, ensure_artifact, source_fingerprint
 
 ANN_INDEX_VERSION = 2  # v2: + lshproj/ prefix-partitioned LSH projection
 ANN_NLIST = 16  # IVF partitions — must match ivf_topk's default
@@ -67,22 +65,12 @@ LSH_PREFIX_BITS = 4
 def ann_root(sf_dir: str, table: str = "embeddings") -> str:
     """Cache root of the ANN index for a corpus table — the one place the
     path scheme lives (bench and tests clear caches through this)."""
-    base = os.path.basename(os.path.normpath(sf_dir))
-    return f"/tmp/agkg_annindex/{base}/{table}"
-
-
-def _fingerprint(sf_dir: str, table: str) -> list:
-    """Source identity: (abspath, size, mtime_ns) of the table file — a
-    rebuilt/replaced corpus invalidates the artifact even when the cache
-    root collides (e.g. equal basenames of different pytest tmp dirs)."""
-    from ..sources.tables import table_path
-
-    p = os.path.abspath(table_path(sf_dir, table))
-    st = os.stat(p)
-    return [p, st.st_size, st.st_mtime_ns]
+    return cache_root(
+        "annindex", os.path.basename(os.path.normpath(sf_dir)), table)
 
 
 def _contract(sf_dir: str, table: str) -> dict:
+    from ..sources.tables import table_path
     from .similarity import LSH_BITS, LSH_SEED, PQ_ITERS, PQ_K, PQ_M
 
     return {
@@ -94,12 +82,55 @@ def _contract(sf_dir: str, table: str) -> dict:
         "nbits": LSH_BITS,
         "seed": LSH_SEED,
         "pbits": LSH_PREFIX_BITS,
-        "src": _fingerprint(sf_dir, table),
+        # the source identity: a replaced corpus invalidates the artifact
+        # even when the cache root collides (equal sf_dir basenames)
+        "src": source_fingerprint(table_path(sf_dir, table)),
     }
+
+
+def _write_quantizers(tmp: str, ivf_cent: np.ndarray,
+                      pq_cents: np.ndarray) -> None:
+    """ivf_centroids.parquet + pq_codebooks.parquet (load_ivf_centroids /
+    load_pq_codebooks read them back bit-exactly)."""
+    pq.write_table(
+        pa.table(
+            {
+                "cluster": pa.array(range(len(ivf_cent)), pa.int64()),
+                "centroid": pa.array(
+                    ivf_cent.tolist(), pa.list_(pa.float64())
+                ),
+            }
+        ),
+        os.path.join(tmp, "ivf_centroids.parquet"),
+    )
+    m, kk, _ = pq_cents.shape
+    pq.write_table(
+        pa.table(
+            {
+                "sub": pa.array(
+                    [j for j in range(m) for _ in range(kk)], pa.int64()
+                ),
+                "cluster": pa.array(list(range(kk)) * m, pa.int64()),
+                "centroid": pa.array(
+                    [pq_cents[j, c].tolist() for j in range(m)
+                     for c in range(kk)],
+                    pa.list_(pa.int64()),
+                ),
+            }
+        ),
+        os.path.join(tmp, "pq_codebooks.parquet"),
+    )
 
 
 def ensure_ann_index(sf_dir: str, table: str = "embeddings") -> str:
     """Build (or reuse) the persisted ANN index for a corpus table."""
+    return ensure_artifact(
+        ann_root(sf_dir, table), _contract(sf_dir, table),
+        lambda tmp: _build_ann_index(tmp, sf_dir, table),
+    )
+
+
+def _build_ann_index(tmp: str, sf_dir: str, table: str) -> None:
     from ..sources.tables import read_table
     from .similarity import (
         LSH_BITS,
@@ -111,23 +142,6 @@ def ensure_ann_index(sf_dir: str, table: str = "embeddings") -> str:
         pq_encode,
         train_pq_codebooks,
     )
-
-    root = ann_root(sf_dir, table)
-    marker = os.path.join(root, "_DONE")
-    contract = _contract(sf_dir, table)
-    if os.path.exists(marker):
-        try:
-            with open(marker) as f:
-                ok = json.load(f) == contract
-        except (OSError, ValueError):
-            ok = False
-        if ok:
-            return root
-        shutil.rmtree(root, ignore_errors=True)
-
-    tmp = root + f".tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp, exist_ok=True)
 
     ds = read_table(sf_dir, table, columns=["vec_id", "embedding"])
 
@@ -219,62 +233,7 @@ def ensure_ann_index(sf_dir: str, table: str = "embeddings") -> str:
         os.path.join(tmp, "lshproj"), partition_cols=["lshp"],
         compression="zstd",
     )
-
-    pq.write_table(
-        pa.table(
-            {
-                "cluster": pa.array(range(len(ivf_cent)), pa.int64()),
-                "centroid": pa.array(
-                    ivf_cent.tolist(), pa.list_(pa.float64())
-                ),
-            }
-        ),
-        os.path.join(tmp, "ivf_centroids.parquet"),
-    )
-    m, kk, _ = pq_cents.shape
-    pq.write_table(
-        pa.table(
-            {
-                "sub": pa.array(
-                    [j for j in range(m) for _ in range(kk)], pa.int64()
-                ),
-                "cluster": pa.array(list(range(kk)) * m, pa.int64()),
-                "centroid": pa.array(
-                    [pq_cents[j, c].tolist() for j in range(m)
-                     for c in range(kk)],
-                    pa.list_(pa.int64()),
-                ),
-            }
-        ),
-        os.path.join(tmp, "pq_codebooks.parquet"),
-    )
-    with open(os.path.join(tmp, "_DONE"), "w") as f:
-        json.dump(contract, f)
-
-    # Promote, accepting a matching layout that appeared while we built
-    # (the SMB/link-table contract). Best-effort, not atomic: a concurrent
-    # builder promoting between our marker re-check and the rmtree below
-    # can still lose its layout for a moment, and readers in that window
-    # may hit the documented RETRYABLE FileNotFoundError — the guarantee
-    # is "a valid layout always returns or a retryable error is raised",
-    # never a silently stale/partial read.
-    if os.path.exists(marker):
-        try:
-            with open(marker) as f:
-                ok = json.load(f) == contract
-        except (OSError, ValueError):
-            ok = False
-        if ok:
-            shutil.rmtree(tmp, ignore_errors=True)
-            return root
-    shutil.rmtree(root, ignore_errors=True)
-    try:
-        os.replace(tmp, root)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not os.path.exists(marker):
-            raise
-    return root
+    _write_quantizers(tmp, ivf_cent, pq_cents)
 
 
 def load_ivf_centroids(root: str) -> np.ndarray:
@@ -395,6 +354,23 @@ def ensure_ann_index_incremental(
     split at half the corpus count), then an increment pass coding the
     delta with the frozen base quantizers into ``coded_delta/``. Returns
     (root, split_id)."""
+    from ..sources.tables import table_path
+
+    # split from the parquet footer: the contract is computed before any
+    # data is read, and a changed row count changes the split
+    split = pq.read_metadata(table_path(sf_dir, table)).num_rows // 2
+    contract = dict(_contract(sf_dir, table), iv=ANN_INCR_VERSION,
+                    split=split)
+    root = ensure_artifact(
+        incr_root(sf_dir, table), contract,
+        lambda tmp: _build_ann_index_incremental(tmp, sf_dir, table, split),
+    )
+    return root, split
+
+
+def _build_ann_index_incremental(
+    tmp: str, sf_dir: str, table: str, split: int
+) -> None:
     from ..sources.tables import read_table
     from .similarity import (
         _kmeans_lite,
@@ -403,35 +379,15 @@ def ensure_ann_index_incremental(
         pq_encode,
         train_pq_codebooks,
     )
-
-    root = incr_root(sf_dir, table)
-    marker = os.path.join(root, "_DONE")
-    contract = dict(_contract(sf_dir, table), iv=ANN_INCR_VERSION)
-    if os.path.exists(marker):
-        try:
-            with open(marker) as f:
-                meta = json.load(f)
-            if {k: v for k, v in meta.items() if k != "split"} == contract:
-                return root, int(meta["split"])
-        except (OSError, ValueError):
-            pass
-        shutil.rmtree(root, ignore_errors=True)
-
     from ..runtime import cluster_cpus
 
     ds = read_table(sf_dir, table, columns=["vec_id", "embedding"])
-    split = ds.count() // 2
-    contract_out = dict(contract, split=split)
     n_parts = max(8, cluster_cpus())
     # repartition after the filters: a filter leaves empty blocks whose
     # downstream tasks would emit schemaless empties (the "new schema: ."
     # warning class); row-identical, order-irrelevant here
     old = ds.filter(expr=f"vec_id < {split}").repartition(n_parts)
     delta = ds.filter(expr=f"vec_id >= {split}").repartition(n_parts)
-
-    tmp = root + f".tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp, exist_ok=True)
 
     # ---- base phase: quantizers trained on the OLD half only.
     # Canonical sample rule: the rows with the SMALLEST vec_ids (id-bound
@@ -477,34 +433,7 @@ def ensure_ann_index_incremental(
         os.path.join(tmp, "coded_base"), partition_cols=["ivfb"],
         compression="zstd",
     )
-    pq.write_table(
-        pa.table(
-            {
-                "cluster": pa.array(range(len(ivf_cent)), pa.int64()),
-                "centroid": pa.array(
-                    ivf_cent.tolist(), pa.list_(pa.float64())
-                ),
-            }
-        ),
-        os.path.join(tmp, "ivf_centroids.parquet"),
-    )
-    m, kk, _ = pq_cents.shape
-    pq.write_table(
-        pa.table(
-            {
-                "sub": pa.array(
-                    [j for j in range(m) for _ in range(kk)], pa.int64()
-                ),
-                "cluster": pa.array(list(range(kk)) * m, pa.int64()),
-                "centroid": pa.array(
-                    [pq_cents[j, c].tolist() for j in range(m)
-                     for c in range(kk)],
-                    pa.list_(pa.int64()),
-                ),
-            }
-        ),
-        os.path.join(tmp, "pq_codebooks.parquet"),
-    )
+    _write_quantizers(tmp, ivf_cent, pq_cents)
 
     # ---- increment phase: frozen quantizers, delta-only coding pass,
     # new files appended beside the untouched base tree
@@ -512,26 +441,6 @@ def ensure_ann_index_incremental(
         os.path.join(tmp, "coded_delta"), partition_cols=["ivfb"],
         compression="zstd",
     )
-
-    with open(os.path.join(tmp, "_DONE"), "w") as f:
-        json.dump(contract_out, f)
-    if os.path.exists(marker):
-        try:
-            with open(marker) as f:
-                ok = json.load(f) == contract_out
-        except (OSError, ValueError):
-            ok = False
-        if ok:
-            shutil.rmtree(tmp, ignore_errors=True)
-            return root, split
-    shutil.rmtree(root, ignore_errors=True)
-    try:
-        os.replace(tmp, root)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not os.path.exists(marker):
-            raise
-    return root, split
 
 
 def incr_coded_dataset(

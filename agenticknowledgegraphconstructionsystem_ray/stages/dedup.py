@@ -527,39 +527,39 @@ def _split_mask(t: pa.Table, want_delta: bool) -> pa.Table:
     return t.filter(keep)
 
 
-def minhash_band_index(
-    docs_old: rd.Dataset, index_dir: str, src_tag: str = ""
-) -> str:
-    """Persist the old corpus's LSH band rows as a parquet index (idempotent
-    — atomic marker-guarded rename, same recipe as goldens.ensure_kg_golden;
-    concurrent builders race benignly on identical deterministic content).
-    Index rows are exactly what _minhash_bands_batch emits, so reading them
-    back unions cleanly with live delta bands. ``src_tag`` carries the
-    caller's source fingerprint so a regenerated corpus at the same path
-    rebuilds instead of serving stale bands (the uniform artifact
-    contract; see state.artifacts.source_fingerprint)."""
+def mh_index_root(sf_dir: str, table: str = "documents") -> str:
+    """Default cache root of the persisted band index for a corpus table
+    (keyed on the corpus abspath)."""
     import os
-    import shutil
 
-    marker = os.path.join(index_dir, "_INDEX_OK")
-    tag = f"v{MH_INDEX_VERSION}:{_N_PERM}:{_BANDS}:{N_COARSE_TASKS}:{src_tag}"
-    if os.path.exists(marker) and open(marker).read() == tag:
-        return index_dir
-    tmp = index_dir + f".tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    _spread(docs_old).map_batches(
-        _minhash_bands_batch, batch_format="pyarrow"
-    ).write_parquet(tmp)
-    with open(os.path.join(tmp, "_INDEX_OK"), "w") as f:
-        f.write(tag)
-    shutil.rmtree(index_dir, ignore_errors=True)
-    try:
-        os.replace(tmp, index_dir)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not (os.path.exists(marker) and open(marker).read() == tag):
-            raise
-    return index_dir
+    from ..state.artifacts import cache_root
+
+    tag = hashlib.md5(
+        f"{os.path.abspath(sf_dir)}:{table}:v{MH_INDEX_VERSION}".encode()
+    ).hexdigest()[:16]
+    return cache_root("mh_index", tag)
+
+
+def minhash_band_index(
+    docs_old: rd.Dataset, index_dir: str, src_tag: str
+) -> str:
+    """Persist the old corpus's LSH band rows as a parquet index, cached
+    through state.artifacts.ensure_artifact (concurrent builders race
+    benignly on identical deterministic content). Index rows are exactly
+    what _minhash_bands_batch emits, so reading them back unions cleanly
+    with live delta bands. ``src_tag`` is the caller's source fingerprint,
+    so a regenerated corpus at the same path rebuilds instead of serving
+    stale bands."""
+    from ..state.artifacts import ensure_artifact
+
+    contract = {"v": MH_INDEX_VERSION, "perm": _N_PERM, "bands": _BANDS,
+                "tasks": N_COARSE_TASKS, "src": src_tag}
+    return ensure_artifact(
+        index_dir, contract,
+        lambda tmp: _spread(docs_old).map_batches(
+            _minhash_bands_batch, batch_format="pyarrow"
+        ).write_parquet(tmp),
+    )
 
 
 def minhash_near_dups_incremental(
@@ -579,16 +579,11 @@ def minhash_near_dups_incremental(
     hot-bucket chain cap) produces exactly the full run's pair set, and the
     result equals the full run's verified pairs filtered to delta-involving
     — which is what the SQL oracle asserts over the golden pair table."""
-    import os
-
     from ..sources.tables import read_table
 
     docs = read_table(sf_dir, table, columns=["doc_id", "text"])
     if index_dir is None:
-        tag = hashlib.md5(
-            f"{os.path.abspath(sf_dir)}:{table}:v{MH_INDEX_VERSION}".encode()
-        ).hexdigest()[:16]
-        index_dir = f"/tmp/agkg_mh_index/{tag}"
+        index_dir = mh_index_root(sf_dir, table)
     old = docs.map_batches(
         lambda t: _split_mask(t, want_delta=False), batch_format="pyarrow"
     )

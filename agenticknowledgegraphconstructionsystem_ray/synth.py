@@ -32,6 +32,7 @@ import pyarrow.parquet as pq
 from .schema import PAGES
 from .functions.textnorm import norm_surface
 from .functions.triples import CONCEPT_TYPES
+from .state.artifacts import cache_root
 
 _ADJ = [
     "Neural", "Gaussian", "Sparse", "Dynamic", "Hierarchical", "Adaptive",
@@ -323,11 +324,9 @@ def write_pages(
     return paths
 
 
-def default_pages_dir(
-    sf: float, mult: int = 1, root: str = "/tmp/agkg_pages"
-) -> str:
+def default_pages_dir(sf: float, mult: int = 1) -> str:
     suffix = f"sf{sf:g}" if mult == 1 else f"sf{sf:g}x{mult}"
-    return os.path.join(root, suffix)
+    return cache_root("pages", suffix)
 
 
 def n_rows_for_sf(sf: float) -> int:
@@ -344,9 +343,9 @@ def pages_shape(sf: float, mult: int = 1) -> tuple[int, int]:
 
 
 def ensure_pages(sf: float, seed: int = 42, mult: int = 1) -> str:
-    """Generate (once, cached under /tmp) the pages corpus for a scale factor
-    (optionally ``mult``x larger, e.g. for the scaling benchmark); returns
-    the directory."""
+    """Generate (once, cached under state.artifacts.ROOT) the pages corpus
+    for a scale factor (optionally ``mult``x larger, e.g. for the scaling
+    benchmark); returns the directory."""
     n, n_files = pages_shape(sf, mult)
     d = default_pages_dir(sf, mult)
     write_pages(d, n, n_files=n_files, seed=seed)

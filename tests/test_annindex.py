@@ -17,6 +17,9 @@ import pyarrow.parquet as pq
 import pytest
 
 from agenticknowledgegraphconstructionsystem_ray.stages import annindex, similarity
+from agenticknowledgegraphconstructionsystem_ray.state.artifacts import (
+    source_fingerprint,
+)
 
 SF = "/root/testdata/sf0.001"
 
@@ -40,8 +43,8 @@ def test_marker_contract_and_fingerprint(index_root):
         meta = json.load(f)
     assert meta["nlist"] == annindex.ANN_NLIST
     assert meta["m"] == similarity.PQ_M
-    assert meta["src"][0].endswith("embeddings.parquet")
-    assert meta["src"][1] == os.stat(meta["src"][0]).st_size
+    assert meta["src"] == source_fingerprint(
+        os.path.join(SF, "embeddings.parquet"))
 
 
 def test_corrupt_marker_forces_rebuild(index_root):
@@ -72,7 +75,7 @@ def test_source_change_invalidates(tmp_path):
     root2 = annindex.ensure_ann_index(str(d))
     with open(os.path.join(root2, "_DONE")) as f:
         meta = json.load(f)
-    assert meta["src"][1] == os.stat(d / "embeddings.parquet").st_size
+    assert meta["src"] == source_fingerprint(str(d / "embeddings.parquet"))
     c2 = annindex.load_ivf_centroids(root2)
     # the halved corpus trains different centroids (sample changed)
     assert c1.shape == c2.shape

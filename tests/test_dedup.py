@@ -181,7 +181,7 @@ class TestIncrementalMinhash:
         first = dedup.minhash_near_dups_incremental(
             sf, index_dir=idx
         ).to_pandas()
-        marker = os.path.join(idx, "_INDEX_OK")
+        marker = os.path.join(idx, "_DONE")
         assert os.path.exists(marker)
         stamp = os.path.getmtime(marker)
         # index holds ONLY old (non-delta) docs' band rows
