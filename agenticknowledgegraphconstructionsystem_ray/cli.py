@@ -265,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
 
         # 4. link table: the base aggregate (a prior update's merged table
         # when chaining, else built from --base-pages) + delta-only scan,
-        # merged by one host-pair groupby-sum
+        # merged by one bucketed host-pair sum (weblinks.sum_link_pairs)
         delta_files = sorted(
             _glob.glob(_os.path.join(args.delta_pages, "*.parquet")))
         prior_links = _os.path.join(args.base_out, "links")

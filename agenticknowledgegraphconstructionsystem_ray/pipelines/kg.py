@@ -36,8 +36,13 @@ overwrite** (reference analog: concept upserts + validation, §3.2-3.4):
     triples -> map_batches(apply_ids_batch)   [broadcast id map, cached]
             -> map_batches(validate_edges_batch)  [vectorized rules]
             -> sort(packed single key)        [the ONE corpus-sized shuffle]
-            -> write_parquet(edges/)
-    nodes + partitioned issues table + validation summary written alongside.
+            -> write_datasink(_IssueSink)     [per write task: the sorted
+                                               block -> edges/<task>.parquet,
+                                               edge_issues_batch on the same
+                                               block -> validation/issues/,
+                                               (severity, rule) counts back]
+    entity issues (driver, or the open-vocab nodes write tasks) + the
+    summed counts -> validation-results.json. edges/ is never read back.
 
 Scale notes: edge dedup happens at source (per page, canonical key known
 from the alias dict), mention counting is pre-aggregated at extraction time,
@@ -52,6 +57,7 @@ import glob
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import pyarrow as pa
@@ -448,7 +454,9 @@ def run_phase_a(cfg: KGConfig) -> dict:
                         "chunk_id": cid,
                         "input_files": chunks[cid],
                         "row_count": 0,
-                        "wall_s": group_wall,
+                        "group_id": group[0],
+                        "group_wall_s": group_wall,
+                        "output_rows": _output_rows(cfg.out_dir, cid),
                         "quarantined": quarantined.get(cid, []),
                     },
                 )
@@ -505,12 +513,18 @@ def run_phase_a(cfg: KGConfig) -> dict:
                 if os.path.basename(f) not in bad_names
             )
             n_pages += rows
+            # one execution serves the whole commit group, so its wall time
+            # is recorded as the GROUP's (shared by its chunks, keyed by
+            # group_id = the group's first chunk); what is per chunk is
+            # read from the promoted files' parquet footers
             payload = {
                 "status": "success",
                 "chunk_id": cid,
                 "input_files": chunks[cid],
                 "row_count": rows,
-                "wall_s": group_wall,
+                "group_id": group[0],
+                "group_wall_s": group_wall,
+                "output_rows": _output_rows(cfg.out_dir, cid),
             }
             if bad_names:
                 payload["quarantined"] = sorted(bad_names)
@@ -522,6 +536,16 @@ def run_phase_a(cfg: KGConfig) -> dict:
         "pages_processed": n_pages,
         "phase_a_wall_s": round(time.perf_counter() - t0, 3),
     }
+
+
+def _output_rows(out_dir: str, cid: int) -> dict[str, int]:
+    """Rows per record kind of a promoted chunk, from parquet footers."""
+    rows: dict[str, int] = {}
+    for f in glob.glob(os.path.join(_records_dir(out_dir, cid), "kind=*",
+                                    "*.parquet")):
+        kind = os.path.basename(os.path.dirname(f))[len("kind="):]
+        rows[kind] = rows.get(kind, 0) + pq.read_metadata(f).num_rows
+    return dict(sorted(rows.items()))
 
 
 def _kind_files(out_dir, kind: str) -> list[str]:
@@ -622,10 +646,81 @@ def _distributed_counts(mcount_files: list[str]):
     return df.sort_values("norm_surface", kind="mergesort").reset_index(drop=True)
 
 
-def _finalize_edges(edges: "rd.Dataset", edges_dir: str, cfg: KGConfig) -> int:
+SAMPLE_ISSUES = 100  # issue rows kept for validation-results.json
+
+
+class _IssueSink(rd.Datasink):
+    """Write tasks that validate the blocks they persist. Each task writes
+    its block as ``data_dir/<task_idx:06d>.parquet`` (task order is block
+    order, so a sorted dataset's files stay in sort order), runs
+    ``issues_fn`` on the same in-memory block, writes the issue rows as
+    ``issues_dir/<prefix>-<task_idx:06d>.parquet`` (no file when there are
+    none) and returns its row count, its (severity, rule) counts and its
+    first ``sample_rows`` issue rows.
+
+    ``issues_fn`` is passed in rather than looked up inside the task, so a
+    caller that swaps the kernel (a tracer, a test) is the one that runs."""
+
+    def __init__(self, data_dir: str, issues_fn, issues_dir: str,
+                 prefix: str, sample_rows: int = 0) -> None:
+        self.data_dir, self.issues_fn = data_dir, issues_fn
+        self.issues_dir, self.prefix = issues_dir, prefix
+        self.sample_rows = sample_rows
+        self.rows = 0
+        self.counts: Counter = Counter()  # (severity, rule) -> n
+        self.sample: list[dict] = []
+
+    def write(self, blocks, ctx) -> dict:
+        from ray.data.block import BlockAccessor
+
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        tables = [t for t in tables if t.num_rows]
+        if not tables:
+            return {"task": ctx.task_idx, "rows": 0, "counts": [],
+                    "sample": []}
+        t = pa.concat_tables(tables, promote_options="default")
+        pq.write_table(
+            t, os.path.join(self.data_dir, f"{ctx.task_idx:06d}.parquet"),
+            compression="zstd")
+        issues = self.issues_fn(t)
+        if issues.num_rows:
+            pq.write_table(
+                issues,
+                os.path.join(self.issues_dir,
+                             f"{self.prefix}-{ctx.task_idx:06d}.parquet"),
+                compression="zstd")
+        return {
+            "task": ctx.task_idx,
+            "rows": t.num_rows,
+            "counts": issue_count_batch(issues).to_pylist(),
+            "sample": issues.slice(0, self.sample_rows).to_pylist(),
+        }
+
+    def on_write_complete(self, write_result) -> None:
+        for r in sorted(write_result.write_returns, key=lambda r: r["task"]):
+            self.rows += r["rows"]
+            _tally(self.counts, r["counts"])
+            self.sample.extend(
+                r["sample"][: self.sample_rows - len(self.sample)])
+
+
+def _tally(counts: Counter, rows: list[dict]) -> None:
+    """Add issue_count_batch rows into a (severity, rule) Counter."""
+    for r in rows:
+        counts[(r["severity"], r["rule"])] += r["n"]
+
+
+def _finalize_edges(edges: "rd.Dataset", edges_dir: str, issues_tmp: str,
+                    cfg: KGConfig) -> tuple[int, Counter]:
     """Shared edge materialization: optional global dedup -> vectorized
-    validation -> ONE corpus-sized packed-key sort -> atomic parquet write.
-    Returns the edge count.
+    validation -> ONE corpus-sized packed-key sort -> one write operator
+    (an _IssueSink). Each write task writes its sorted block as
+    ``<task_idx:06d>.parquet`` (zstd; file order = sort order), runs
+    edge_issues_batch on the same in-memory block, writes those rows into
+    ``issues_tmp`` and returns its row count and (severity, rule) counts.
+    Returns the edge count and the summed counts. Edges and their issues
+    come from ONE execution: edges/ is never read back, and the issues are
+    neither materialized nor written or counted in a second pass.
 
     Edge dedup already happened AT SOURCE (the extractor dedups per page on
     the canonical key, which the alias dict fully determines; url is in the
@@ -653,12 +748,13 @@ def _finalize_edges(edges: "rd.Dataset", edges_dir: str, cfg: KGConfig) -> int:
     edges = edges.sort("skey").drop_columns(["skey"])
     tmp = edges_dir + ".tmp"
     mf.clear_stale_tmp(tmp)
-    edges.write_parquet(tmp, compression="zstd")
+    os.makedirs(tmp)
+    # the kernel is read from this module's attribute when the sink is
+    # built, so a wrapper installed there (the benchmark's span) runs
+    sink = _IssueSink(tmp, edge_issues_batch, issues_tmp, "edge")
+    edges.write_datasink(sink)
     mf.atomic_replace_dir(tmp, edges_dir)
-    return sum(
-        pq.read_metadata(f).num_rows
-        for f in glob.glob(os.path.join(edges_dir, "*.parquet"))
-    )
+    return sink.rows, sink.counts
 
 
 def run_phase_b(cfg: KGConfig) -> dict:
@@ -765,6 +861,17 @@ def run_phase_b(cfg: KGConfig) -> dict:
     _write_atomic_table(nodes, nodes_dir)
     _write_nodes_summary_csv(nodes, os.path.join(out, "nodes_summary.csv"))
 
+    # ---- validation report (S8 analog) ----
+    # Entity issues are vocabulary-sized (driver); relationship issues are
+    # corpus-sized -> written by the edge sort's own write tasks (see
+    # _finalize_edges), with only (severity, rule) counts reduced to the
+    # driver for the JSON summary.
+    issues_dir = os.path.join(out, "validation", "issues")
+    tmpi = issues_dir + ".tmp"
+    mf.clear_stale_tmp(tmpi)
+    os.makedirs(tmpi, exist_ok=True)
+    by_rule_sev: Counter = Counter()
+
     # ---- SHUFFLE 2: edges dedup + validation + sort ----
     triples = triples_dataset(
         src_dirs,
@@ -788,57 +895,21 @@ def run_phase_b(cfg: KGConfig) -> dict:
         # global dedup shuffle is needed. For corpora where the same url can
         # recur (re-crawls), cfg.global_edge_dedup adds an exact groupby
         # dedup pass (D4, db_init.py:128).
-        n_edges = _finalize_edges(edges, edges_dir, cfg)
+        n_edges, edge_counts = _finalize_edges(edges, edges_dir, tmpi, cfg)
+        by_rule_sev.update(edge_counts)
         _mark("edges_s", _since)
     else:
         os.makedirs(edges_dir, exist_ok=True)
 
-    # ---- validation report (S8 analog) ----
-    # Entity issues are vocabulary-sized (driver); relationship issues are
-    # corpus-sized -> written as partitioned parquet (distributed), with only
-    # (severity, rule) partial counts and a bounded sample reduced to the
-    # driver for the JSON summary.
     entity_issues = validate_nodes_table(nodes)
-    issues_dir = os.path.join(out, "validation", "issues")
-    tmpi = issues_dir + ".tmp"
-    mf.clear_stale_tmp(tmpi)
-    os.makedirs(tmpi, exist_ok=True)
     pq.write_table(entity_issues, os.path.join(tmpi, "entity-issues.parquet"))
-
-    by_rule_sev: dict[tuple[str, str], int] = {}
-    for r in issue_count_batch(entity_issues).to_pylist() if entity_issues.num_rows else []:
-        key = (r["severity"], r["rule"])
-        by_rule_sev[key] = by_rule_sev.get(key, 0) + r["n"]
-    sample: list[dict] = entity_issues.slice(0, 100).to_pylist()
-
-    if n_edges:
-        issues_ds = (
-            rd.read_parquet(
-                sorted(glob.glob(os.path.join(edges_dir, "*.parquet"))),
-                # prune: edge_issues_batch touches only these six columns
-                columns=["subj_id", "pred", "obj_id", "url",
-                         "confidence", "context"],
-            )
-            .map_batches(edge_issues_batch, batch_format="pyarrow")
-            .materialize()  # consumed twice: parquet write + summary counts
-        )
-        issues_ds.write_parquet(tmpi, compression="zstd")
-        # summary counts: block combiner -> driver merge. The partials are
-        # O(n_rules x n_severities) per block (a handful of rows), so the
-        # driver merge is blocks-bounded and the Ray groupby a shuffle this
-        # small doesn't pay for is gone (it also emitted schema-less empty
-        # output partitions, the "new schema: ." warning source).
-        cnt = issues_ds.map_batches(
-            issue_count_batch, batch_format="pyarrow"
-        ).to_pandas()
-        for r in cnt.itertuples(index=False):
-            key = (r.severity, r.rule)
-            by_rule_sev[key] = by_rule_sev.get(key, 0) + int(r.n)
+    _tally(by_rule_sev, issue_count_batch(entity_issues).to_pylist())
+    sample = entity_issues.slice(0, SAMPLE_ISSUES).to_pylist()
     mf.atomic_replace_dir(tmpi, issues_dir)
     _mark("issues_s", _since)
 
     summary = summarize_issues(by_rule_sev, nodes.num_rows, n_edges)
-    report = {"summary": summary, "issues_sample": sample[:100]}
+    report = {"summary": summary, "issues_sample": sample}
     report_path = os.path.join(out, "validation-results.json")
     with open(report_path + ".tmp", "w") as f:
         json.dump(report, f, sort_keys=True, default=str)
@@ -859,7 +930,6 @@ def run_phase_b_openvocab(cfg: KGConfig) -> dict:
     run distributed; only alias-relevant surfaces (bounded by the alias
     dictionary) and per-block row counts reach the driver. Produces the same
     on-disk outputs as run_phase_b (nodes may span multiple parquet files)."""
-    from ..stages.validate import validate_nodes_table as _vnt
     from .openvocab import apply_ids_hybrid, build_nodes_openvocab
 
     t0 = time.perf_counter()
@@ -894,6 +964,16 @@ def run_phase_b_openvocab(cfg: KGConfig) -> dict:
 
     from ..stages.canonicalize import NODES_SCHEMA
 
+    # ---- validation report: entity issues distributed too, each written
+    # by the write task that persists its nodes block (same _IssueSink as
+    # the edges)
+    issues_dir = os.path.join(out, "validation", "issues")
+    tmpi = issues_dir + ".tmp"
+    mf.clear_stale_tmp(tmpi)
+    os.makedirs(tmpi, exist_ok=True)
+    by_rule_sev: Counter = Counter()
+    sample: list[dict] = []
+
     nodes_dir = os.path.join(out, "nodes")
     n_nodes = 0
     nodes_ds = mapping_ds = None
@@ -911,8 +991,13 @@ def run_phase_b_openvocab(cfg: KGConfig) -> dict:
     else:
         tmpn = nodes_dir + ".tmp"
         mf.clear_stale_tmp(tmpn)
-        nodes_ds.write_parquet(tmpn, compression="zstd")
+        os.makedirs(tmpn)
+        sink = _IssueSink(tmpn, validate_nodes_table, tmpi, "entity",
+                          sample_rows=SAMPLE_ISSUES)
+        nodes_ds.write_datasink(sink)
         mf.atomic_replace_dir(tmpn, nodes_dir)
+        by_rule_sev.update(sink.counts)
+        sample = sink.sample
         # top-1000 summary reuses the per-block top-k combiner result that
         # also feeds the hot map — no second vocabulary-wide sort
         _write_nodes_summary_csv(
@@ -934,57 +1019,16 @@ def run_phase_b_openvocab(cfg: KGConfig) -> dict:
         edges = apply_ids_hybrid(
             triples, mapping_ds, ov.hot_map, ov.hot_total
         )
-        n_edges = _finalize_edges(edges, edges_dir, cfg)
+        n_edges, edge_counts = _finalize_edges(edges, edges_dir, tmpi, cfg)
+        by_rule_sev.update(edge_counts)
         _mark("edges_s", _since)
     else:
         os.makedirs(edges_dir, exist_ok=True)
-
-    # ---- validation report: entity issues distributed too ----
-    issues_dir = os.path.join(out, "validation", "issues")
-    tmpi = issues_dir + ".tmp"
-    mf.clear_stale_tmp(tmpi)
-    os.makedirs(tmpi, exist_ok=True)
-    by_rule_sev: dict[tuple[str, str], int] = {}
-    sample: list[dict] = []
-    issue_sources = []
-    entity_issues_ds = None
-    if nodes_ds is not None:
-        entity_issues_ds = nodes_ds.map_batches(
-            _vnt, batch_format="pyarrow"
-        ).materialize()
-        issue_sources.append(entity_issues_ds)
-    if n_edges:
-        issue_sources.append(
-            rd.read_parquet(
-                sorted(glob.glob(os.path.join(edges_dir, "*.parquet"))),
-                # prune: edge_issues_batch touches only these six columns
-                columns=["subj_id", "pred", "obj_id", "url",
-                         "confidence", "context"],
-            ).map_batches(edge_issues_batch, batch_format="pyarrow")
-        )
-    if issue_sources:
-        issues_ds = issue_sources[0]
-        for extra in issue_sources[1:]:
-            issues_ds = issues_ds.union(extra)
-        issues_ds = issues_ds.materialize()
-        issues_ds.write_parquet(tmpi, compression="zstd")
-        # block combiner -> driver merge (see the default path: the partials
-        # are rules x severities per block, so no shuffle is warranted)
-        cnt = issues_ds.map_batches(
-            issue_count_batch, batch_format="pyarrow"
-        ).to_pandas()
-        for r in cnt.itertuples(index=False):
-            key = (r.severity, r.rule)
-            by_rule_sev[key] = by_rule_sev.get(key, 0) + int(r.n)
-        # sample ENTITY issues (matching the default path's
-        # validation-results.json, which samples entity issues only)
-        if entity_issues_ds is not None:
-            sample = entity_issues_ds.limit(100).take_all()
     mf.atomic_replace_dir(tmpi, issues_dir)
     _mark("issues_s", _since)
 
     summary = summarize_issues(by_rule_sev, n_nodes, n_edges)
-    report = {"summary": summary, "issues_sample": sample[:100]}
+    report = {"summary": summary, "issues_sample": sample}
     report_path = os.path.join(out, "validation-results.json")
     with open(report_path + ".tmp", "w") as f:
         json.dump(report, f, sort_keys=True, default=str)

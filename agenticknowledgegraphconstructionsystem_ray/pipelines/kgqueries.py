@@ -345,8 +345,9 @@ def kg_lineage(sf_dir: str):
     """Per-partition lineage ledger: one row per processing chunk from the
     committed ``_manifests/chunk-*.json`` manifests (the reference's
     extraction_logs analog, ``db_init.py:150-159``). Deterministic columns
-    only — (chunk_id, n_files, n_pages, status); wall_s stays in the
-    manifest but not in the oracle-checked surface. Oracle: golden-file
+    only — (chunk_id, n_files, n_pages, status); the commit group's
+    group_wall_s and the per-kind output_rows stay in the manifest but not
+    in the oracle-checked surface. Oracle: golden-file
     recompute of the chunk plan + per-file page counts
     (goldens._seq_lineage)."""
     import pyarrow as pa
@@ -807,6 +808,11 @@ def _kg_search_impl(sf_dir: str, qterms: list, K: int):
 # ---------------------------------------------------------------------------
 
 FTS_BUCKETS = 64
+# Hash buckets of the link-table pair-sum shuffle (weblinks.sum_link_pairs):
+# one Arrow group_by per bucket, and one bucket never spans two reduce
+# tasks, so this also caps the sum's parallelism — raise it with the
+# host-pair count, as FTS_BUCKETS with the vocabulary.
+LINK_BUCKETS = 64
 FTS_POS_CAP = 64  # capped per-(term,doc) positions stored for phrase ops
 # Row-group size of the postings files: small groups + the (bkt, term,
 # url) build sort give term-clustered row groups whose min/max stats let

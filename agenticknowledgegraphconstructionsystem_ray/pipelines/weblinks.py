@@ -54,7 +54,7 @@ from ..state.artifacts import (
     read_contract,
     source_fingerprint,
 )
-from .kgqueries import sf_of
+from .kgqueries import LINK_BUCKETS, sf_of
 
 
 def pages_dataset(sf_dir: str) -> rd.Dataset:
@@ -96,10 +96,18 @@ def wg_outlinks(sf_dir: str):
 # hrefs from 100 TB of HTML — the same extract-once-query-many contract the
 # KG queries already follow via kgqueries._ensure_run. Sentinel rows
 # (dst = "\\x00", n = 0) record every page's own host so node sets that
-# must include link-less pages' hosts stay derivable.
+# must include link-less pages' hosts stay derivable. Every build, merge
+# and incremental view sums its pair rows through ONE helper,
+# sum_link_pairs: rows are tagged with a stable hash bucket of the pair
+# (host_id of the NUL-joined pair mod kgqueries.LINK_BUCKETS — never
+# Python's salted hash()), shuffled by bucket, and each bucket is summed
+# by one vectorized Arrow group_by, so no per-pair Python step runs (a Ray
+# groupby-aggregate pays one per host pair). Rows are ordered by bucket,
+# then (src_host, dst_host); consumers that need an order sort.
 # ---------------------------------------------------------------------------
 
 _SENTINEL = "\x00"  # not a possible netloc; tags page-host node rows
+LINK_TABLE_VERSION = 3  # v3: bucketed Arrow pair sums (sum_link_pairs)
 
 
 def _sentinel_pair_partials(t: pa.Table) -> pa.Table:
@@ -118,9 +126,49 @@ def _sentinel_pair_partials(t: pa.Table) -> pa.Table:
         {
             "src_host": pa.array([k[0] for k in counts], pa.string()),
             "dst_host": pa.array([k[1] for k in counts], pa.string()),
-            "n_p": pa.array(list(counts.values()), pa.int64()),
+            "n_links": pa.array(list(counts.values()), pa.int64()),
         }
     )
+
+
+def _link_bucket(t: pa.Table) -> pa.Table:
+    """Append the pair's stable hash bucket (``bkt``) to link rows."""
+    bkts = [
+        host_id(f"{s}\x00{d}") % LINK_BUCKETS
+        for s, d in zip(t["src_host"].to_pylist(), t["dst_host"].to_pylist())
+    ]
+    return t.append_column("bkt", pa.array(bkts, pa.int32()))
+
+
+def _sum_bucket(t: pa.Table) -> pa.Table:
+    """One bucket's rows -> one (src_host, dst_host, n_links) row per pair,
+    pair-sorted."""
+    g = t.group_by(["src_host", "dst_host"]).aggregate([("n_links", "sum")])
+    return pa.table(
+        {
+            "src_host": g["src_host"],
+            "dst_host": g["dst_host"],
+            "n_links": g["n_links_sum"],
+        }
+    ).sort_by([("src_host", "ascending"), ("dst_host", "ascending")])
+
+
+def sum_link_pairs(*parts: rd.Dataset) -> rd.Dataset:
+    """The UNION of (src_host, dst_host, n_links) datasets summed to one
+    row per host pair: bucket tag -> bucket shuffle -> per-bucket Arrow
+    group_by sum (the layout of kgqueries._write_postings)."""
+    rows = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+    return (
+        rows.map_batches(_link_bucket, batch_format="pyarrow")
+        .groupby("bkt")
+        .map_groups(_sum_bucket, batch_format="pyarrow")
+    )
+
+
+def _page_pairs(pages_files: list) -> rd.Dataset:
+    """Pair partials (sentinels included) over a pages file list."""
+    return rd.read_parquet(pages_files, columns=["url", "html"]).map_batches(
+        _sentinel_pair_partials, batch_format="pyarrow")
 
 
 def links_root(sf_dir: str) -> str:
@@ -148,23 +196,21 @@ def _ensure_link_tables_for(pages_files: list, root: str) -> str:
     of serving stale links."""
 
     def build(tmp: str) -> None:
-        (
-            rd.read_parquet(pages_files, columns=["url", "html"])
-            .map_batches(_sentinel_pair_partials, batch_format="pyarrow")
-            .groupby(["src_host", "dst_host"])
-            .aggregate(Sum("n_p", alias_name="n_links"))
-            .write_parquet(os.path.join(tmp, "links"), compression="zstd")
-        )
+        sum_link_pairs(_page_pairs(pages_files)).write_parquet(
+            os.path.join(tmp, "links"), compression="zstd")
 
     return ensure_artifact(
-        root, {"v": 2, "src": source_fingerprint(*pages_files)}, build)
+        root,
+        {"v": LINK_TABLE_VERSION, "src": source_fingerprint(*pages_files)},
+        build,
+    )
 
 
 def merge_link_tables(base_root: str, delta_pages_files: list,
                       dest: str) -> str:
     """cli update's link-table refresh: the base aggregate (read back, not
-    re-scanned) unioned with pair partials over ONLY the delta pages, one
-    host-pair groupby-sum, written as the merged link table. Sentinel
+    re-scanned) unioned with pair partials over ONLY the delta pages,
+    summed by sum_link_pairs, written as the merged link table. Sentinel
     page-host rows ride along, so the output is row-identical to a full
     _ensure_link_tables build over base∪delta pages. Cost = delta scan +
     O(host-pairs); the base corpus is never touched. The contract holds
@@ -176,26 +222,15 @@ def merge_link_tables(base_root: str, delta_pages_files: list,
             f"base link table {base_root} has no valid _DONE marker")
 
     def build(tmp: str) -> None:
-        base = rd.read_parquet(os.path.join(base_root, "links"))
-        delta = (
-            rd.read_parquet(delta_pages_files, columns=["url", "html"])
-            .map_batches(_sentinel_pair_partials, batch_format="pyarrow")
-            .map_batches(
-                lambda t: t.rename_columns(
-                    ["src_host", "dst_host", "n_links"]),
-                batch_format="pyarrow",
-            )
-        )
-        (
-            base.union(delta)
-            .groupby(["src_host", "dst_host"])
-            .aggregate(Sum("n_links", alias_name="n_links"))
-            .write_parquet(os.path.join(tmp, "links"), compression="zstd")
-        )
+        sum_link_pairs(
+            rd.read_parquet(os.path.join(base_root, "links")),
+            _page_pairs(delta_pages_files),
+        ).write_parquet(os.path.join(tmp, "links"), compression="zstd")
 
     return ensure_artifact(
         dest,
-        {"v": 2, "src": source_fingerprint(*delta_pages_files),
+        {"v": LINK_TABLE_VERSION,
+         "src": source_fingerprint(*delta_pages_files),
          "base": base_contract},
         build,
     )
@@ -235,7 +270,7 @@ def wg_host_graph(sf_dir: str):
 def wg_host_graph_incremental(sf_dir: str):
     """cli update's link-table face: the base half's PERSISTED aggregate
     (never re-scanned) + pair partials over ONLY the delta half's pages,
-    merged by one host-pair groupby-sum — update cost scales with the
+    summed by sum_link_pairs — update cost scales with the
     delta scan + O(host-pairs), not the corpus, and the result must equal
     wg_host_graph's full-corpus output (same SQL oracle)."""
     import glob
@@ -247,19 +282,11 @@ def wg_host_graph_incremental(sf_dir: str):
         files[:mid], links_root(sf_dir) + "_half_a"
     )
 
-    base = rd.read_parquet(os.path.join(base_root, "links"))
-    delta = (
-        rd.read_parquet(files[mid:], columns=["url", "html"])
-        .map_batches(_sentinel_pair_partials, batch_format="pyarrow")
-        .map_batches(
-            lambda t: t.rename_columns(["src_host", "dst_host", "n_links"]),
-            batch_format="pyarrow",
-        )
-    )
     return (
-        base.union(delta)
-        .groupby(["src_host", "dst_host"])
-        .aggregate(Sum("n_links", alias_name="n_links"))
+        sum_link_pairs(
+            rd.read_parquet(os.path.join(base_root, "links")),
+            _page_pairs(files[mid:]),
+        )
         .filter(expr=f"dst_host != {_SENTINEL!r}")
         .sort(["src_host", "dst_host"])
     )

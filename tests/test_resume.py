@@ -56,6 +56,29 @@ def test_manifest_commit_is_atomic(tmp_path):
     assert mf.pending_chunks(out, [2, 3, 4, 5]) == [2, 4, 5]
 
 
+def test_manifest_group_wall_and_per_chunk_output_rows(kg_out):
+    """One execution serves a whole commit group, so its chunks share the
+    group's id and wall time (recorded as such, not as a per-chunk wall
+    time); what each manifest records per chunk is read from that chunk's
+    promoted parquet files."""
+    out, _ = kg_out
+    ms = [mf.read_manifest(out, c) for c in sorted(mf.completed_chunks(out))]
+    assert len(ms) >= 2
+    assert len({m["group_id"] for m in ms}) == 1
+    assert len({m["group_wall_s"] for m in ms}) == 1
+    assert all("wall_s" not in m for m in ms)
+    for m in ms:
+        chunk_dir = os.path.join(out, "extracted", f"chunk={m['chunk_id']:05d}")
+        want = {}
+        for d in sorted(glob.glob(os.path.join(chunk_dir, "kind=*"))):
+            files = sorted(glob.glob(os.path.join(d, "*.parquet")))
+            want[os.path.basename(d)[len("kind="):]] = sum(
+                pq.read_table(f).num_rows for f in files)
+        assert m["output_rows"] == want
+        # every input page leaves one page record
+        assert m["output_rows"]["page"] == m["row_count"] > 0
+
+
 def test_lineage_query_matches_chunk_plan(ray_session):
     """kg_lineage rows = the deterministic chunk plan with per-chunk page
     counts summing to the corpus size."""

@@ -219,5 +219,5 @@ def test_link_table_cache_reused_and_invalidated(ray_session):
         json.dump({"v": 999}, f)
     third = as_table(weblinks.wg_host_graph(sf_dir))
     with open(marker) as f:
-        assert json.load(f)["v"] == 2
+        assert json.load(f)["v"] == weblinks.LINK_TABLE_VERSION
     assert first.equals(third)
