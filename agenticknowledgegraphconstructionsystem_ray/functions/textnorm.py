@@ -18,7 +18,7 @@ _EDGE_PUNCT_RE = re.compile(r"^[^\w]+|[^\w]+$")
 # hyphens and apostrophes.
 TOKEN_RE = re.compile(r"[A-Za-z0-9][\w\-']*")
 
-# Sentence boundary: ., !, ? followed by whitespace-or-end. Newlines are also
+# Sentence boundary: ., !, ? followed by whitespace. Newlines are also
 # hard sentence boundaries (block boundaries from html_to_text).
 _SENT_SPLIT_RE = re.compile(r"(?<=[.!?])\s+|\n+")
 
@@ -70,9 +70,10 @@ def split_sentences(text: str) -> list[str]:
 
 
 def tokenize_with_spans(sentence: str) -> list[tuple[str, int, int]]:
-    """[(token, start, end)] within the sentence string. Single flat
-    comprehension — this is the hottest kernel in extraction (one call per
-    sentence, one tuple per token)."""
+    """[(token, start, end)] within the sentence string (one tuple per
+    token). Serves the sequential reference kernel
+    ``triples.extract_mentions_and_triples`` only; the pipeline's document
+    scanner never builds a token list."""
     return [(m[0], m.start(), m.end()) for m in TOKEN_RE.finditer(sentence)]
 
 

@@ -1,4 +1,4 @@
-"""Deterministic rule-based NER + SVO triple extraction (pure kernel).
+"""Deterministic rule-based NER + SVO triple extraction (pure kernels).
 
 Plays the role of the reference's LLM entity-extraction agent and
 relationship-discovery agent
@@ -9,17 +9,33 @@ mirroring the reference's closed ``RelationshipType`` enum
 pattern extractor ("spaCy/OpenIE-style" role per the north star) so that the
 distributed pipeline can be verified exactly against a sequential oracle.
 
-All functions are pure per-document; the stateful part (compiled patterns)
-is held by the actor-pool stage in ``stages/triples.py``.
+Two implementations of one extraction rule set, the same arrangement as
+``validate_rules.py`` (pure) and ``stages/validate.py`` (vectorized):
+
+- ``extract_mentions_and_triples`` is the sequential REFERENCE: sentence
+  split, then a token list per sentence, then a loop over every token. Only
+  the oracles use it (``oracle.py``, ``goldens.py``).
+- ``scan_mentions_and_triples`` is the pipeline's kernel
+  (``stages/triples.py``): a document-level scanner that runs one regex pass
+  for sentence separators and one for candidate entity runs per page, and
+  applies the remaining rules per candidate rather than per token. It
+  returns the same ``Mention``/``RawTriple`` values with the same offsets;
+  ``tests/test_properties.py`` checks the two against each other.
+
+So the oracle checks of the pipeline compare two independent
+implementations. All functions are pure per-document; the stateful part
+(the broadcast alias dict) is held by the stage in ``stages/triples.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from bisect import bisect_left
+from typing import NamedTuple
 
 from .textnorm import (
     CAP_STOPWORDS,
-    is_entity_token,
+    TOKEN_RE,
     norm_surface,
     split_sentences,
     tokenize_with_spans,
@@ -61,8 +77,7 @@ CONTEXT_MAX_CHARS = 500  # entity-extraction-agent.ts:214 (context -> <=500)
 NAME_MAX_CHARS = 255  # entity-extraction-agent.ts:210 (name -> <=255)
 
 
-@dataclass(frozen=True)
-class Mention:
+class Mention(NamedTuple):
     surface: str
     norm: str
     start: int  # char offset within the document text
@@ -70,12 +85,13 @@ class Mention:
     context: str  # containing sentence, truncated to CONTEXT_MAX_CHARS
 
 
-@dataclass(frozen=True)
-class RawTriple:
+class RawTriple(NamedTuple):
     subj: str  # surface form
     pred: str  # normalized predicate id
     obj: str  # surface form
     context: str
+    subj_norm: str  # norm_surface(subj), the subject mention's norm
+    obj_norm: str
 
 
 def _mention_runs(
@@ -123,8 +139,9 @@ def extract_mentions_and_triples(
     """Pure per-document extraction: sentence split -> entity-token runs ->
     predicate match between adjacent mentions.
 
-    Deterministic, no cross-document state; shared by the Ray actor stage and
-    the sequential oracle.
+    The sequential reference (one token list per sentence, a loop over every
+    token), used only by the oracles; the pipeline runs the equivalent
+    ``scan_mentions_and_triples``.
     """
     mentions: list[Mention] = []
     triples: list[RawTriple] = []
@@ -180,8 +197,173 @@ def extract_mentions_and_triples(
                     pred=pred,
                     obj=sent_mentions[k + 1].surface,
                     context=context,
+                    subj_norm=sent_mentions[k].norm,
+                    obj_norm=sent_mentions[k + 1].norm,
                 )
             )
+    return mentions, triples
+
+
+# ---------------------------------------------------------------------------
+# Document-level scanner (the pipeline's kernel).
+#
+# A token is ``[A-Za-z0-9][\w\-']*`` found left to right, so tokens are the
+# maximal ``[\w\-']`` stretches that hold an ASCII letter or digit, each cut
+# at its first such character. Sentence separators (``split_sentences``) are
+# whitespace: every newline, and the whitespace run after ``.``/``!``/``?``.
+# ---------------------------------------------------------------------------
+
+_W = r"[\w\-']"  # token body character
+
+# Sentence separators with no lookbehind: a newline (plus the whitespace
+# after it), or ``.!?`` plus the whitespace after it. The pattern is a
+# branch of literals, so the regex engine scans for its first characters.
+# A match's first character closes the sentence before it: the ``.!?``
+# belongs to that sentence, and a newline is whitespace its strip drops.
+_SEP_RE = re.compile(r"\n\s*|\.\s+|!\s+|\?\s+")
+
+
+def _stopword_guard() -> str:
+    """Negative lookahead placed after a token's first character: the token
+    is not one of CAP_STOPWORDS. The first character is checked with a
+    one-character lookbehind so the run pattern stays charset-led."""
+    rests: dict[str, list[str]] = {}
+    for w in sorted(CAP_STOPWORDS):
+        rests.setdefault(w[0], []).append(re.escape(w[1:]))
+    alts = "|".join(
+        f"(?<={c})(?:{'|'.join(sorted(r, key=len, reverse=True))})"
+        for c, r in sorted(rests.items())
+    )
+    return f"(?!(?:{alts})(?!{_W}))"
+
+
+# An entity token: first character uppercase ASCII or a digit, not a
+# stopword. A candidate run is entity tokens joined by gaps with no ASCII
+# letter or digit (so no token in between) that never cross a separator:
+# no newline, and no ``.!?`` followed by whitespace. Every token after the
+# first follows a gap that begins with a non-token character, so it starts
+# a token. The first token is checked for that by the pattern only against
+# the one character before it (not an ASCII letter or digit); a longer
+# ``[\w\-']`` stretch before it ("non-Gaussian", "x_Bar") is left to
+# ``_is_token_start``. A first token of ASCII digits only must be followed
+# by another entity token: a bare number alone is never a run.
+_NOT_STOPWORD = _stopword_guard()
+_ENT_TOKEN = f"[A-Z0-9]{_NOT_STOPWORD}{_W}*+"
+_RUN_GAP = r"[^A-Za-z0-9\n.!?]*+(?:[.!?](?!\s)[^A-Za-z0-9\n.!?]*+)*+"
+_NEXT_TOKEN = f"{_RUN_GAP}{_ENT_TOKEN}"
+_DIGITS_TOKEN = f"(?<=[0-9])[0-9]*+(?!{_W})"
+_RUN_RE = re.compile(
+    f"([A-Z0-9](?<![A-Za-z0-9]{{2}}){_NOT_STOPWORD}"
+    f"(?:{_DIGITS_TOKEN}(?={_NEXT_TOKEN})|(?!{_DIGITS_TOKEN}){_W}*+))"
+    f"(?:{_NEXT_TOKEN})*+"
+)
+_TOKEN_END_RE = re.compile(f"{_W}*+")
+_ALNUM_RE = re.compile(r"[A-Za-z0-9]")
+
+# The text between two runs of one sentence is a predicate gap when it holds
+# 1..MAX_PREDICATE_TOKENS tokens; the groups are the tokens.
+_GAP_TOKEN = f"([A-Za-z0-9]{_W}*+)[^A-Za-z0-9]*+"
+_pred_gap = _GAP_TOKEN
+for _ in range(MAX_PREDICATE_TOKENS - 1):
+    _pred_gap = f"{_GAP_TOKEN}(?:{_pred_gap})?"
+_PRED_GAP_RE = re.compile(f"[^A-Za-z0-9]*+{_pred_gap}")
+del _pred_gap
+
+# Surfaces whose norm_surface is their lowercase: ASCII words joined by
+# single spaces (no whitespace to collapse, no edge punctuation).
+_PLAIN_SURFACE_RE = re.compile(r"[A-Za-z0-9]+(?: [A-Za-z0-9]+)*")
+
+
+def _is_token_start(text: str, i: int) -> bool:
+    """``text[i]`` (an ASCII letter or digit) starts a token iff the
+    ``[\\w\\-']`` stretch right before it holds no ASCII letter or digit."""
+    while i > 0:
+        c = text[i - 1]
+        if c.isascii():
+            if c.isalnum():
+                return False
+            if c not in "_-'":
+                return True
+        elif not c.isalnum():
+            return True
+        i -= 1
+    return True
+
+
+def _entity_runs(text: str) -> list[tuple[int, int]]:
+    """[(start, end)] of the mention runs of ``text``, in document order,
+    bare-number runs dropped."""
+    runs: list[tuple[int, int]] = []
+    for m in _RUN_RE.finditer(text):
+        s, e = m.span()
+        first_end = m.end(1)
+        if s and text[s - 1] != " " and not _is_token_start(text, s):
+            # the first "token" is the tail of a token led by a lowercase
+            # letter: the run starts at the next token, if the candidate
+            # has one
+            nxt = _ALNUM_RE.search(text, first_end, e)
+            if nxt is None:
+                continue
+            s = nxt.start()
+            first_end = _TOKEN_END_RE.match(text, s).end()
+        if first_end == e and text[s].isdigit() and text[s:e].isdigit():
+            continue  # bare number with non-ASCII digits ("3²")
+        runs.append((s, e))
+    return runs
+
+
+def scan_mentions_and_triples(
+    text: str,
+) -> tuple[list[Mention], list[RawTriple]]:
+    """Document-level equivalent of ``extract_mentions_and_triples``: the
+    same mentions and triples, in the same order, with the same offsets.
+
+    One separator pass and one candidate-run pass over the page. The rules
+    the reference applies per token are applied per candidate here (token
+    start, bare numbers; stopwords inside the run pattern), the containing
+    sentence is found by bisecting the separator offsets, and the predicate
+    gap is matched only between consecutive runs of one sentence.
+    """
+    mentions: list[Mention] = []
+    triples: list[RawTriple] = []
+    if not text:
+        return mentions, triples
+    runs = _entity_runs(text)
+    if not runs:
+        return mentions, triples
+
+    # sentence k lies between separator k-1 and separator k; a run at s is
+    # in sentence bisect_left(seps, (s,)) (the separators starting before s)
+    seps = [m.span() for m in _SEP_RE.finditer(text)]
+    n_seps = len(seps)
+    contexts: dict[int, str] = {}
+    norms: dict[str, str] = {}
+    plain = _PLAIN_SURFACE_RE.fullmatch
+    gap = _PRED_GAP_RE.fullmatch
+    prev_k = -1
+    prev: Mention | None = None
+    for s, e in runs:
+        k = bisect_left(seps, (s,))
+        context = contexts.get(k)
+        if context is None:
+            lo = seps[k - 1][1] if k else 0
+            hi = seps[k][0] + 1 if k < n_seps else len(text)
+            context = contexts[k] = text[lo:hi].strip()[:CONTEXT_MAX_CHARS]
+        surface = text[s:min(e, s + NAME_MAX_CHARS)]
+        norm = norms.get(surface)
+        if norm is None:
+            norm = norms[surface] = (
+                surface.lower() if plain(surface) else norm_surface(surface)
+            )
+        cur = Mention(surface, norm, s, e, context)
+        mentions.append(cur)
+        if k == prev_k and (g := gap(text, prev.end, s)) is not None:
+            pred = PREDICATE_PHRASES.get(" ".join(filter(None, g.groups())).lower())
+            if pred is not None:
+                triples.append(
+                    RawTriple(prev.surface, pred, surface, context, prev.norm, norm)
+                )
+        prev_k, prev = k, cur
     return mentions, triples
 
 

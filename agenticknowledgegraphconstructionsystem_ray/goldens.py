@@ -61,7 +61,8 @@ def golden_dir(sf: float) -> str:
 def _extract_page(text: str, alias: dict | None):
     """One page, sequentially: (mention rows, per-page-deduped edge rows,
     per-norm (n_in_page, score) dict). Mirrors the SEMANTICS of the
-    distributed extractor via the shared pure kernels; the orchestration
+    distributed extractor: extraction runs the sequential reference kernel
+    (not the pipeline's document scanner), and the orchestration
     (aggregation order, dedup representative, confidence inputs) is
     re-derived independently here."""
     mentions, triples = extract_mentions_and_triples(text or "")

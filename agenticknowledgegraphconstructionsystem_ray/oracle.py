@@ -1,7 +1,10 @@
 """Sequential single-process oracle (SURVEY.md §5).
 
-Runs the SAME pure kernels as the distributed pipeline, one page at a time,
-with no Ray involvement — the conformance reference for:
+Runs the pure kernels one page at a time, with no Ray involvement. Triple
+extraction uses the sequential reference kernel
+(``triples.extract_mentions_and_triples``, a loop over every token), not the
+pipeline's document scanner, so a scanner fault shows as a mismatch. The
+conformance reference for:
 - byte-identical extracted ``text`` per ``url`` (reference contract analog:
   ``extract_and_populate.py:47-67``),
 - the golden (subj, pred, obj) triple set for the P/R >= 0.95 check,

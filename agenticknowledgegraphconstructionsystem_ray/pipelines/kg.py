@@ -53,6 +53,7 @@ id map are broadcast via ``ray.put`` once and fetched once per worker.
 
 from __future__ import annotations
 
+import functools
 import glob
 import json
 import os
@@ -157,8 +158,20 @@ class KGConfig:
                                      # corruption still fails the task (and
                                      # retries). Default False: fail loud.
 
+    # A KGConfig describes one run: its fields do not change once it is
+    # used, so the default alias dict and the semantic fingerprint are
+    # computed once per config and kept on it.
+
     def alias_dict(self) -> dict[str, tuple[str, str]]:
-        return self.alias if self.alias is not None else synth.alias_dict()
+        return self.alias if self.alias is not None else self._default_alias
+
+    @functools.cached_property
+    def _default_alias(self) -> dict[str, tuple[str, str]]:
+        return synth.alias_dict()  # this config's own copy
+
+    @functools.cached_property
+    def _semantic_fp(self) -> str:
+        return _semantic_fingerprint(self)
 
 
 @ray.remote(num_cpus=0.25)
@@ -237,7 +250,7 @@ def _config_fingerprint(cfg: "KGConfig") -> str:
         st = os.stat(f)
         ident.append((os.path.basename(f), st.st_size, st.st_mtime_ns))
     return hashlib.sha1(
-        repr((_semantic_fingerprint(cfg), tuple(ident))).encode()
+        repr((cfg._semantic_fp, tuple(ident))).encode()
     ).hexdigest()
 
 
@@ -245,7 +258,8 @@ def _semantic_fingerprint(cfg: "KGConfig") -> str:
     """Fingerprint of extraction SEMANTICS alone (no input file list):
     when this part matches, per-chunk artifacts from a previous run remain
     valid for every chunk whose file list is unchanged — the append-only
-    crawl increment keeps its finished chunks."""
+    crawl increment keeps its finished chunks. Callers read it through
+    ``cfg._semantic_fp``, which computes it once per config."""
     import hashlib
 
     alias = cfg.alias_dict()
@@ -308,7 +322,7 @@ def _check_layout(out_dir: str, cfg: "KGConfig") -> None:
         st = os.stat(f)
         files.append([os.path.basename(f), st.st_size, st.st_mtime_ns])
     payload = json.dumps(
-        {"fp": fp, "sem": _semantic_fingerprint(cfg), "files": files},
+        {"fp": fp, "sem": cfg._semantic_fp, "files": files},
         sort_keys=True,
     )
     try:
@@ -320,7 +334,7 @@ def _check_layout(out_dir: str, cfg: "KGConfig") -> None:
 
     if (
         cur is not None
-        and cur.get("sem") == _semantic_fingerprint(cfg)
+        and cur.get("sem") == cfg._semantic_fp
         and isinstance(cur.get("files"), list)
     ):
         # same semantics, different input file list: invalidate ONLY the

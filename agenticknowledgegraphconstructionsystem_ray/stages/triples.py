@@ -3,9 +3,19 @@
 Reference analog: the EntityExtractionAgent + RelationshipDiscoveryAgent pair
 (``/root/reference/agents/src/agents/entity-extraction-agent.ts:30-79``,
 ``relationship-discovery-agent.ts:65-120``), re-expressed as ONE deterministic
-actor-pool ``map_batches`` stage (SURVEY.md T1/T2): state (compiled patterns)
-is built once per actor in ``__init__``; ``__call__`` processes an Arrow batch
-of extracted pages.
+actor-pool ``map_batches`` stage (SURVEY.md T1/T2): state (the broadcast alias
+dict) is fetched once per actor in ``__init__``; ``__call__`` processes an
+Arrow batch of extracted pages.
+
+The per-page kernel is the document-level scanner
+``functions/triples.scan_mentions_and_triples`` (one regex pass for sentence
+separators and one for candidate entity runs per page). Its mentions carry
+their norms and its triples carry ``subj_norm``/``obj_norm``, so this stage
+normalizes no surface itself except alias canonicals (memoized per actor).
+The per-token ``extract_mentions_and_triples`` is the sequential reference
+that only the oracles (``oracle.py``, ``goldens.py``) run, so the oracle
+checks compare two independent implementations. Both the task path
+(``extract_records_batch``) and the actor-pool path run this one stage.
 
 Output is a single kind-tagged record table (``kind`` in {"page", "mention",
 "triple", "mcount"}) so ONE extraction pass feeds every downstream table;
@@ -28,7 +38,10 @@ the writer splits it with ``partition_cols=["chunk", "kind"]``:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.confidence import (
     HIGH_BAND,
@@ -37,7 +50,7 @@ from ..functions.confidence import (
     confidence_from_band_counts,
 )
 from ..functions.textnorm import norm_surface as _norm
-from ..functions.triples import extract_mentions_and_triples, mention_relevance
+from ..functions.triples import mention_relevance, scan_mentions_and_triples
 
 RECORD_FIELDS = [
     ("kind", pa.string()),  # "page" (extracted text) | "mention" | "triple"
@@ -78,6 +91,50 @@ MCOUNT_COLUMNS = {
 }
 
 
+def _kind_table(kind: str, n: int, cols: dict) -> pa.Table:
+    """``n`` RECORD_SCHEMA rows of one ``kind``: the given columns (Arrow
+    arrays or Python lists), nulls in every other column."""
+    arrays = []
+    for f in RECORD_SCHEMA:
+        col = [kind] * n if f.name == "kind" else cols.get(f.name)
+        if col is None:
+            col = pa.nulls(n, f.type)
+        elif isinstance(col, list):
+            col = pa.array(col, f.type)
+        arrays.append(col)
+    return pa.Table.from_arrays(arrays, schema=RECORD_SCHEMA)
+
+
+def _mcount_table(mention_tbl: pa.Table) -> pa.Table:
+    """kind="mcount" rows of one batch (see MCOUNT_COLUMNS): per (chunk,
+    norm_surface) the sum of n_in_page, the number of mention rows, how
+    many score 1.0, and the max and min score, sorted by (chunk,
+    norm_surface)."""
+    perfect = pc.cast(pc.equal(mention_tbl["score"], 1.0), pa.int32())
+    g = (
+        mention_tbl.select(["chunk", "norm_surface", "n_in_page", "score"])
+        .append_column("perfect", perfect)
+        .group_by(["chunk", "norm_surface"])
+        .aggregate([
+            ("n_in_page", "sum"),
+            ("n_in_page", "count"),
+            ("perfect", "sum"),
+            ("score", "max"),
+            ("score", "min"),
+        ])
+        .sort_by([("chunk", "ascending"), ("norm_surface", "ascending")])
+    )
+    return _kind_table("mcount", g.num_rows, {
+        "norm_surface": g["norm_surface"],
+        "score": g["score_max"],
+        "n_in_page": pc.cast(g["n_in_page_sum"], pa.int32()),
+        "span_start": pc.cast(g["n_in_page_count"], pa.int32()),
+        "span_end": pc.cast(g["perfect_sum"], pa.int32()),
+        "confidence": g["score_min"],
+        "chunk": g["chunk"],
+    })
+
+
 class TripleExtractor:
     """Callable class for ``map_batches(TripleExtractor, concurrency=N)``.
 
@@ -107,52 +164,42 @@ class TripleExtractor:
 
             alias_dict = ray.get(alias_ref)
         self.alias = alias_dict
+        self._canon: dict[str, str] = {}  # norm -> _canonical(norm)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        tss = batch.column("warc_ts").to_pylist()
         texts = batch.column("text").to_pylist()
         langs = batch.column("lang").to_pylist()
         if "chunk" in batch.schema.names:
             chunks_col = batch.column("chunk").to_pylist()
         else:
-            chunks_col = [""] * len(urls)
+            chunks_col = [""] * len(texts)
+        alias = self.alias
+        canon = self._canon
 
-        # columnar builders — only the fields each kind actually carries are
-        # built row-by-row; everything else becomes pa.nulls (no per-row
-        # Python for absent columns)
-        m_url, m_ts, m_chunk = [], [], []
-        m_surface, m_norm, m_type, m_score = [], [], [], []
-        m_n, m_start, m_end, m_context, m_link = [], [], [], [], []
-        t_url, t_ts, t_chunk = [], [], []
-        t_subj, t_snorm, t_pred, t_obj, t_onorm = [], [], [], [], []
+        # columnar builders: mention and triple rows refer to their page by
+        # index (m_page/t_page) and take url/warc_ts/chunk from the page
+        # columns; only the fields each kind carries are built in Python
+        # (_kind_table fills the rest with nulls)
+        m_page, m_norm, m_surface, m_n, m_score = [], [], [], [], []
+        m_start, m_end, m_context, m_hit = [], [], [], []
+        t_page, t_subj, t_snorm, t_pred, t_obj, t_onorm = [], [], [], [], [], []
         t_conf, t_context = [], []
-        # batch-level mention-count partials (the canonicalization combiner,
-        # emitted as kind="mcount" rows — see MCOUNT_COLUMNS)
-        bcounts: dict[str, list] = {}
 
-        for url, ts, text, lang, chunk in zip(urls, tss, texts, langs, chunks_col):
+        for i, (text, lang) in enumerate(zip(texts, langs)):
             # the page row (built vectorized below) carries the extracted
             # text for EVERY url; lang_allow only gates extraction
             if self.lang_allow is not None and lang not in self.lang_allow:
                 continue
-            mentions, triples = extract_mentions_and_triples(text or "")
+            mentions, triples = scan_mentions_and_triples(text or "")
+            if not mentions:
+                continue
 
-            # per-page aggregation: one row per distinct norm surface
-            agg: dict[str, dict] = {}
-            for m in mentions:
-                slot = agg.get(m.norm)
-                if slot is None:
-                    agg[m.norm] = {
-                        "surface": m.surface,
-                        "n": 1,
-                        "start": m.start,
-                        "end": m.end,
-                        "context": m.context,
-                    }
-                else:
-                    slot["n"] += 1
-            scores = {norm: mention_relevance(s["n"]) for norm, s in agg.items()}
+            # per-page aggregation: one row per distinct norm surface,
+            # carrying its first mention and its count
+            norms = [m.norm for m in mentions]
+            counts = Counter(norms)
+            first = dict(zip(reversed(norms), reversed(mentions)))
+            scores = {norm: mention_relevance(n) for norm, n in counts.items()}
 
             # page-level relevance band counts (for O(1) per-triple
             # confidence — equivalent to the pure list formula)
@@ -166,39 +213,18 @@ class TripleExtractor:
                     n_low += 1
             n_total = len(scores)
 
-            for norm in sorted(agg):
-                s = agg[norm]
-                score = scores[norm]
-                ckey = (chunk, norm)  # per-chunk so resume reruns are exact
-                slot = bcounts.get(ckey)
-                if slot is None:
-                    bcounts[ckey] = [s["n"], 1, int(score == 1.0), score, score]
-                else:
-                    slot[0] += s["n"]
-                    slot[1] += 1
-                    slot[2] += int(score == 1.0)
-                    if score > slot[3]:
-                        slot[3] = score
-                    if score < slot[4]:
-                        slot[4] = score
-                if self.alias is not None:
-                    hit = self.alias.get(norm)
-                    ent_type = hit[1] if hit else "concept"
-                    link_score = 1.0 if hit else 0.0
-                else:
-                    ent_type, link_score = None, None
-                m_url.append(url)
-                m_ts.append(ts)
-                m_chunk.append(chunk)
-                m_surface.append(s["surface"])
-                m_norm.append(norm)
-                m_type.append(ent_type)
-                m_score.append(scores[norm])
-                m_n.append(s["n"])
-                m_start.append(s["start"])
-                m_end.append(s["end"])
-                m_context.append(s["context"])
-                m_link.append(link_score)
+            ns = sorted(counts)
+            firsts = [first[norm] for norm in ns]
+            m_page += [i] * len(ns)
+            m_norm += ns
+            m_surface += [m.surface for m in firsts]
+            m_n += [counts[norm] for norm in ns]
+            m_score += [scores[norm] for norm in ns]
+            m_start += [m.start for m in firsts]
+            m_end += [m.end for m in firsts]
+            m_context += [m.context for m in firsts]
+            if alias is not None:
+                m_hit += [alias.get(norm) for norm in ns]
 
             # Exact edge dedup AT SOURCE (reference D4 semantics:
             # UNIQUE(source, target, type) per source document,
@@ -219,9 +245,13 @@ class TripleExtractor:
             # (confidence, context, subj, obj) representative.
             best: dict[tuple, tuple] = {}
             for t in triples:
-                sn, on = _norm(t.subj), _norm(t.obj)
-                canon_s = _norm(self.alias[sn][0]) if self.alias and sn in self.alias else sn
-                canon_o = _norm(self.alias[on][0]) if self.alias and on in self.alias else on
+                sn, on = t.subj_norm, t.obj_norm
+                canon_s = canon.get(sn)
+                if canon_s is None:
+                    canon_s = canon[sn] = self._canonical(sn)
+                canon_o = canon.get(on)
+                if canon_o is None:
+                    canon_o = canon[on] = self._canonical(on)
                 conf = self._confidence(scores, sn, on, n_high, n_med, n_low, n_total)
                 key = (canon_s, t.pred, canon_o)
                 cand = (conf, t.context, t.subj, sn, t.obj, on)
@@ -229,9 +259,7 @@ class TripleExtractor:
                     best[key] = cand
             for key in sorted(best):
                 conf, context, subj, sn, obj, on = best[key]
-                t_url.append(url)
-                t_ts.append(ts)
-                t_chunk.append(chunk)
+                t_page.append(i)
                 t_subj.append(subj)
                 t_snorm.append(sn)
                 t_pred.append(key[1])
@@ -240,120 +268,39 @@ class TripleExtractor:
                 t_conf.append(conf)
                 t_context.append(context)
 
-        n_pages = len(urls)
-        n_m = len(m_url)
-        n_t = len(t_url)
+        cols = {"url": batch.column("url"), "warc_ts": batch.column("warc_ts"),
+                "chunk": pa.array(chunks_col, pa.string())}
 
-        def nulls(n: int, typ) -> pa.Array:
-            return pa.nulls(n, typ)
+        def rows_of(idx: list[int]) -> dict:
+            """url/warc_ts/chunk of the pages at idx."""
+            take = pa.array(idx, pa.int32())
+            return {name: col.take(take) for name, col in cols.items()}
 
-        page_tbl = pa.Table.from_arrays(
-            [
-                pa.array(["page"] * n_pages, pa.string()),
-                batch.column("url"),
-                batch.column("warc_ts"),
-                pa.array(texts, pa.string()),
-                pa.array(langs, pa.string()),
-                nulls(n_pages, pa.string()),   # surface
-                nulls(n_pages, pa.string()),   # norm_surface
-                nulls(n_pages, pa.string()),   # ent_type
-                nulls(n_pages, pa.float64()),  # score
-                nulls(n_pages, pa.int32()),    # n_in_page
-                nulls(n_pages, pa.int32()),    # span_start
-                nulls(n_pages, pa.int32()),    # span_end
-                nulls(n_pages, pa.string()),   # context
-                nulls(n_pages, pa.string()),   # subj
-                nulls(n_pages, pa.string()),   # subj_norm
-                nulls(n_pages, pa.string()),   # pred
-                nulls(n_pages, pa.string()),   # obj
-                nulls(n_pages, pa.string()),   # obj_norm
-                nulls(n_pages, pa.float64()),  # confidence
-                nulls(n_pages, pa.float64()),  # link_score
-                pa.array(chunks_col, pa.string()),
-            ],
-            schema=RECORD_SCHEMA,
-        )
-        mention_tbl = pa.Table.from_arrays(
-            [
-                pa.array(["mention"] * n_m, pa.string()),
-                pa.array(m_url, pa.string()),
-                pa.array(m_ts, pa.timestamp("us")),
-                nulls(n_m, pa.string()),
-                nulls(n_m, pa.string()),
-                pa.array(m_surface, pa.string()),
-                pa.array(m_norm, pa.string()),
-                pa.array(m_type, pa.string()),
-                pa.array(m_score, pa.float64()),
-                pa.array(m_n, pa.int32()),
-                pa.array(m_start, pa.int32()),
-                pa.array(m_end, pa.int32()),
-                pa.array(m_context, pa.string()),
-                nulls(n_m, pa.string()),
-                nulls(n_m, pa.string()),
-                nulls(n_m, pa.string()),
-                nulls(n_m, pa.string()),
-                nulls(n_m, pa.string()),
-                nulls(n_m, pa.float64()),
-                pa.array(m_link, pa.float64()),
-                pa.array(m_chunk, pa.string()),
-            ],
-            schema=RECORD_SCHEMA,
-        )
-        triple_tbl = pa.Table.from_arrays(
-            [
-                pa.array(["triple"] * n_t, pa.string()),
-                pa.array(t_url, pa.string()),
-                pa.array(t_ts, pa.timestamp("us")),
-                nulls(n_t, pa.string()),
-                nulls(n_t, pa.string()),
-                nulls(n_t, pa.string()),
-                nulls(n_t, pa.string()),
-                nulls(n_t, pa.string()),
-                nulls(n_t, pa.float64()),
-                nulls(n_t, pa.int32()),
-                nulls(n_t, pa.int32()),
-                nulls(n_t, pa.int32()),
-                pa.array(t_context, pa.string()),
-                pa.array(t_subj, pa.string()),
-                pa.array(t_snorm, pa.string()),
-                pa.array(t_pred, pa.string()),
-                pa.array(t_obj, pa.string()),
-                pa.array(t_onorm, pa.string()),
-                pa.array(t_conf, pa.float64()),
-                nulls(n_t, pa.float64()),
-                pa.array(t_chunk, pa.string()),
-            ],
-            schema=RECORD_SCHEMA,
-        )
-        c_keys = sorted(bcounts)
-        n_c = len(c_keys)
-        mcount_tbl = pa.Table.from_arrays(
-            [
-                pa.array(["mcount"] * n_c, pa.string()),
-                nulls(n_c, pa.string()),       # url
-                nulls(n_c, pa.timestamp("us")),
-                nulls(n_c, pa.string()),       # text
-                nulls(n_c, pa.string()),       # lang
-                nulls(n_c, pa.string()),       # surface
-                pa.array([k[1] for k in c_keys], pa.string()),
-                nulls(n_c, pa.string()),       # ent_type
-                pa.array([bcounts[k][3] for k in c_keys], pa.float64()),  # max
-                pa.array([bcounts[k][0] for k in c_keys], pa.int32()),    # mentions
-                pa.array([bcounts[k][1] for k in c_keys], pa.int32()),    # links
-                pa.array([bcounts[k][2] for k in c_keys], pa.int32()),    # perfect
-                nulls(n_c, pa.string()),       # context
-                nulls(n_c, pa.string()),
-                nulls(n_c, pa.string()),
-                nulls(n_c, pa.string()),
-                nulls(n_c, pa.string()),
-                nulls(n_c, pa.string()),
-                pa.array([bcounts[k][4] for k in c_keys], pa.float64()),  # min
-                nulls(n_c, pa.float64()),
-                pa.array([k[0] for k in c_keys], pa.string()),
-            ],
-            schema=RECORD_SCHEMA,
-        )
-        return pa.concat_tables([page_tbl, mention_tbl, triple_tbl, mcount_tbl])
+        mention_cols = {
+            **rows_of(m_page), "surface": m_surface, "norm_surface": m_norm,
+            "score": m_score, "n_in_page": m_n, "span_start": m_start,
+            "span_end": m_end, "context": m_context,
+        }
+        if alias is not None:
+            mention_cols["ent_type"] = [h[1] if h else "concept" for h in m_hit]
+            mention_cols["link_score"] = [1.0 if h else 0.0 for h in m_hit]
+        mention_tbl = _kind_table("mention", len(m_page), mention_cols)
+        return pa.concat_tables([
+            _kind_table("page", len(texts),
+                        {**cols, "text": texts, "lang": langs}),
+            mention_tbl,
+            _kind_table("triple", len(t_page), {
+                **rows_of(t_page), "context": t_context, "subj": t_subj,
+                "subj_norm": t_snorm, "pred": t_pred, "obj": t_obj,
+                "obj_norm": t_onorm, "confidence": t_conf,
+            }),
+            _mcount_table(mention_tbl),
+        ])
+
+    def _canonical(self, norm: str) -> str:
+        """The dedup key of a norm: its alias canonical, normalized."""
+        hit = self.alias.get(norm) if self.alias else None
+        return _norm(hit[0]) if hit else norm
 
     @staticmethod
     def _confidence(
@@ -390,7 +337,7 @@ class TripleExtractor:
 # shape amortizes the load: `WarmModelExtractor` pays load_s once per actor
 # in __init__ (the right shape), `PerBatchLoadExtractor` pays it on every
 # batch (the shape extraction degrades to when model setup is left inside
-# the map function). Both delegate to the production kernel, so outputs are
+# the map function). Both delegate to the pipeline's kernel, so outputs are
 # bit-identical to TripleExtractor (tests/test_kg_pipeline.py asserts it).
 # ---------------------------------------------------------------------------
 

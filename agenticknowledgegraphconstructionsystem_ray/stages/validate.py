@@ -16,6 +16,9 @@ via the pure path when needed.
 
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -44,6 +47,32 @@ def _issues_table(rows: list[dict]) -> pa.Table:
     return pa.Table.from_pylist(rows, schema=VALIDATION_ISSUES)
 
 
+# R3 keyword sets as one alternation per predicate: one scan finds any of
+# them (substring semantics, same as ``k in explanation.lower()``)
+_KEYWORD_PATTERNS = {
+    p: "|".join(re.escape(k) for k in kws) for p, kws in TYPE_KEYWORDS.items()
+}
+
+
+def _keyword_mismatch(pred, ctx) -> pa.Array:
+    """R3 (type_explanation_mismatch): the row's predicate has keywords and
+    its lowercased context holds none of them. Each row is scanned only for
+    its own predicate's keywords: per predicate, take its rows, scan those,
+    and scatter the misses back."""
+    mismatch = np.zeros(len(ctx), dtype=bool)
+    if not len(mismatch):
+        # pyarrow's indices_nonzero crashes on a chunked array of no chunks
+        return pa.array(mismatch)
+    for p, pattern in _KEYWORD_PATTERNS.items():
+        rows = pc.indices_nonzero(pc.equal(pred, p))
+        if not len(rows):
+            continue
+        lower = pc.utf8_lower(pc.take(ctx, rows))
+        miss = pc.invert(pc.match_substring_regex(lower, pattern))
+        mismatch[pc.filter(rows, miss).to_numpy()] = True
+    return pa.array(mismatch)
+
+
 def edge_rule_masks(batch: pa.Table) -> dict[str, pa.Array]:
     """Vectorized R1-R5 rule masks (validation-agent.ts:224-389 semantics)."""
     conf = pc.coalesce(batch["confidence"], pa.scalar(-1.0, pa.float64()))
@@ -52,7 +81,6 @@ def edge_rule_masks(batch: pa.Table) -> dict[str, pa.Array]:
     pred = batch["pred"]
     ctx = pc.coalesce(batch["context"], pa.scalar("", pa.string()))
     trimmed = pc.utf8_trim_whitespace(ctx)
-    lower = pc.utf8_lower(ctx)
     lower_trimmed = pc.utf8_lower(trimmed)
     false = pa.scalar(False)
 
@@ -66,16 +94,7 @@ def edge_rule_masks(batch: pa.Table) -> dict[str, pa.Array]:
     masks["invalid_confidence"] = pc.invert(in01)
     masks["low_confidence"] = pc.and_(pc.greater_equal(conf, 0.0), pc.less(conf, 0.5))
     masks["very_low_confidence"] = pc.and_(pc.greater_equal(conf, 0.0), pc.less(conf, 0.3))
-
-    mismatch = pa.array([False] * batch.num_rows)
-    for p, kws in TYPE_KEYWORDS.items():
-        eq = pc.coalesce(pc.equal(pred, p), false)
-        any_kw = pa.array([False] * batch.num_rows)
-        for kw in kws:
-            any_kw = pc.or_(any_kw, pc.match_substring(lower, kw))
-        mismatch = pc.or_(mismatch, pc.and_(eq, pc.invert(any_kw)))
-    masks["type_explanation_mismatch"] = mismatch
-
+    masks["type_explanation_mismatch"] = _keyword_mismatch(pred, ctx)
     masks["null_type_high_confidence"] = pc.and_(pred_null, pc.greater(conf, 0.5))
     masks["null_type_low_confidence"] = pc.and_(pred_null, pc.less_equal(conf, 0.5))
     masks["explanation_too_short"] = pc.less(pc.utf8_length(trimmed), 20)

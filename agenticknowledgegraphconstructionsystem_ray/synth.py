@@ -22,6 +22,7 @@ the sequential oracle see identical input.
 
 from __future__ import annotations
 
+import functools
 import glob
 import os
 
@@ -175,15 +176,24 @@ def entity_universe(n: int = N_ENTITIES) -> list[dict]:
     return ents
 
 
-def alias_dict(n: int = N_ENTITIES) -> dict[str, tuple[str, str]]:
-    """norm_alias -> (canonical_name, ent_type). The broadcast small side for
-    entity linking (reference analog: cached seminal paper,
-    run-relationship-discovery.ts:32-47)."""
+@functools.lru_cache(maxsize=None)
+def _alias_items(n: int) -> tuple[tuple[str, tuple[str, str]], ...]:
+    """The alias table as an immutable item tuple, built once per process."""
     out: dict[str, tuple[str, str]] = {}
     for e in entity_universe(n):
         for al in e["aliases"]:
             out[norm_surface(al)] = (e["canonical_name"], e["ent_type"])
-    return out
+    return tuple(out.items())
+
+
+def alias_dict(n: int = N_ENTITIES) -> dict[str, tuple[str, str]]:
+    """norm_alias -> (canonical_name, ent_type). The broadcast small side for
+    entity linking (reference analog: cached seminal paper,
+    run-relationship-discovery.ts:32-47).
+
+    Every call returns a new dict (copied from the cached item tuple), so
+    no two callers share one mutable object."""
+    return dict(_alias_items(n))
 
 
 def _zipf_weights(n: int) -> np.ndarray:

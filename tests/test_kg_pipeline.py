@@ -396,3 +396,51 @@ def test_merge_runs_refuses_mixed_semantics(ray_session, tmp_path):
     )
     with pytest.raises(ValueError, match="extraction-semantics"):
         kg.merge_runs([out_a, out_b], os.path.join(root, "merged"))
+
+
+def test_alias_dict_and_fingerprint_once_per_run(pages_dir, tmp_path, monkeypatch):
+    """A run builds the default alias dict at most once per process and
+    computes its extraction-semantics fingerprint once: a cold build, and
+    the update shape (delta ensure_complete + merge_runs). Every config
+    holds its own alias dict, so none is shared between callers."""
+    from agenticknowledgegraphconstructionsystem_ray.pipelines import kg
+
+    fingerprints = []
+    real = kg._semantic_fingerprint
+
+    def counting(cfg):
+        fingerprints.append(cfg.out_dir)
+        return real(cfg)
+
+    monkeypatch.setattr(kg, "_semantic_fingerprint", counting)
+    files = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
+    dirs = {}
+    for name, part in (("base", files[:-1]), ("delta", files[-1:])):
+        dirs[name] = str(tmp_path / f"pages_{name}")
+        os.makedirs(dirs[name])
+        for f in part:
+            os.symlink(f, os.path.join(dirs[name], os.path.basename(f)))
+
+    synth._alias_items.cache_clear()
+    base_out = str(tmp_path / "base_out")
+    kg.run_pipeline(kg.KGConfig(pages_dir=dirs["base"], out_dir=base_out,
+                                chunk_files=2))
+    assert fingerprints == [base_out]
+    assert synth._alias_items.cache_info().misses == 1
+
+    fingerprints.clear()
+    synth._alias_items.cache_clear()
+    delta_out = str(tmp_path / "delta_out")
+    kg.ensure_complete(kg.KGConfig(pages_dir=dirs["delta"], out_dir=delta_out,
+                                   chunk_files=2))
+    kg.merge_runs([base_out, delta_out], str(tmp_path / "merged"))
+    assert fingerprints == [delta_out]
+    assert synth._alias_items.cache_info().misses == 1
+
+    # one dict per config, never shared
+    a = kg.KGConfig(pages_dir=pages_dir, out_dir="a")
+    b = kg.KGConfig(pages_dir=pages_dir, out_dir="b")
+    assert a.alias_dict() is a.alias_dict()
+    a.alias_dict()["planted"] = ("Planted", "concept")
+    assert "planted" not in b.alias_dict()
+    assert "planted" not in synth.alias_dict()

@@ -11,13 +11,19 @@ import struct
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agenticknowledgegraphconstructionsystem_ray.functions.html_text import html_to_text
-from agenticknowledgegraphconstructionsystem_ray.functions.textnorm import norm_surface
+from agenticknowledgegraphconstructionsystem_ray.functions.textnorm import (
+    CAP_STOPWORDS,
+    norm_surface,
+)
 from agenticknowledgegraphconstructionsystem_ray.functions.triples import (
+    NAME_MAX_CHARS,
+    PREDICATE_PHRASES,
     extract_mentions_and_triples,
+    scan_mentions_and_triples,
 )
 from agenticknowledgegraphconstructionsystem_ray.stages.canonicalize import (
     partial_mention_counts,
@@ -104,6 +110,49 @@ def test_extraction_total_and_deterministic(text):
     for m in m1:
         assert m.norm == norm_surface(m.surface)
         assert 0 <= m.start <= m.end <= len(text) + 1
+
+
+# -- document scanner == per-token reference kernel ------------------------
+
+_FRAGMENTS = (
+    sorted(CAP_STOPWORDS)
+    + [w.lower() for w in sorted(CAP_STOPWORDS)]
+    + ["Theory", "Another", "Ifs", "Tom", "Ours", "Byte", "NeRF", "Gaussian",
+       "Splatting", "3D", "2024", "x", "iPhone", "non-Gaussian", "d'Arc",
+       "Foo_Bar", "AND"]
+    + ["_", "-", "'", "é", "É", "²", "ß", "日本", "\xa0", "\x85", "\u2003",
+       " ", "  ", "\t", "\r\n", "\n", "\n\n", ".", ". ", ".\xa0", "!", "! ",
+       "?", "?\n", "...", "3.5", "e.g."]
+    + [f" {p} " for p in PREDICATE_PHRASES]
+    + [" improves  on ", " builds\xa0on ", " Uses ", " uses, "]
+    + ["Q" * (NAME_MAX_CHARS + 5), "Long " * 60]
+)
+_page_text = st.lists(
+    st.one_of(
+        st.sampled_from(_FRAGMENTS),
+        st.text(alphabet="aZ09_-'é² .!?\n\xa0", max_size=6),
+    ),
+    max_size=40,
+).map("".join)
+
+
+@given(_page_text)
+@settings(max_examples=400, deadline=None)
+# a stopword right after ', _ or a non-ASCII word character starts a token
+# (the [\w\-'] stretch before it holds no ASCII letter or digit)
+@example("'An Foo uses Bar.")
+@example("²_The Bar")
+@example("x'An Foo")
+@example("é_The Foo builds on Bar. Baz")
+@example("Foo 'The Bar")
+def test_scanner_matches_reference_kernel(text):
+    assert scan_mentions_and_triples(text) == extract_mentions_and_triples(text)
+
+
+@given(st.text(max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_scanner_matches_reference_kernel_any_text(text):
+    assert scan_mentions_and_triples(text) == extract_mentions_and_triples(text)
 
 
 @given(st.text(max_size=200))
