@@ -35,7 +35,6 @@ from typing import NamedTuple
 
 from .textnorm import (
     CAP_STOPWORDS,
-    TOKEN_RE,
     norm_surface,
     split_sentences,
     tokenize_with_spans,
@@ -103,7 +102,7 @@ def _mention_runs(
     entity-extraction-agent.ts:193-203).
 
     Single pass; the entity-token test is inlined (first char uppercase or
-    digit — semantics of textnorm.is_entity_token) for the hot path.
+    digit — semantics of textnorm.is_entity_token).
     """
     runs: list[tuple[int, int]] = []
     stop = CAP_STOPWORDS

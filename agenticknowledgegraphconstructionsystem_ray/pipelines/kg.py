@@ -158,19 +158,13 @@ class KGConfig:
                                      # corruption still fails the task (and
                                      # retries). Default False: fail loud.
 
-    # A KGConfig describes one run: its fields do not change once it is
-    # used, so the default alias dict and the semantic fingerprint are
-    # computed once per config and kept on it.
-
     def alias_dict(self) -> dict[str, tuple[str, str]]:
-        return self.alias if self.alias is not None else self._default_alias
-
-    @functools.cached_property
-    def _default_alias(self) -> dict[str, tuple[str, str]]:
-        return synth.alias_dict()  # this config's own copy
+        return self.alias if self.alias is not None else synth.alias_dict()
 
     @functools.cached_property
     def _semantic_fp(self) -> str:
+        # computed once per config: a KGConfig describes one run, and its
+        # fields do not change once it is used
         return _semantic_fingerprint(self)
 
 

@@ -401,8 +401,8 @@ def test_merge_runs_refuses_mixed_semantics(ray_session, tmp_path):
 def test_alias_dict_and_fingerprint_once_per_run(pages_dir, tmp_path, monkeypatch):
     """A run builds the default alias dict at most once per process and
     computes its extraction-semantics fingerprint once: a cold build, and
-    the update shape (delta ensure_complete + merge_runs). Every config
-    holds its own alias dict, so none is shared between callers."""
+    the update shape (delta ensure_complete + merge_runs). Every caller
+    gets its own copy of the alias dict, so none is shared."""
     from agenticknowledgegraphconstructionsystem_ray.pipelines import kg
 
     fingerprints = []
@@ -437,10 +437,10 @@ def test_alias_dict_and_fingerprint_once_per_run(pages_dir, tmp_path, monkeypatc
     assert fingerprints == [delta_out]
     assert synth._alias_items.cache_info().misses == 1
 
-    # one dict per config, never shared
-    a = kg.KGConfig(pages_dir=pages_dir, out_dir="a")
-    b = kg.KGConfig(pages_dir=pages_dir, out_dir="b")
-    assert a.alias_dict() is a.alias_dict()
-    a.alias_dict()["planted"] = ("Planted", "concept")
-    assert "planted" not in b.alias_dict()
+    # a copy per caller, never shared
+    cfg = kg.KGConfig(pages_dir=pages_dir, out_dir="a")
+    mine = cfg.alias_dict()
+    assert mine is not cfg.alias_dict() and mine == cfg.alias_dict()
+    mine["planted"] = ("Planted", "concept")
+    assert "planted" not in cfg.alias_dict()
     assert "planted" not in synth.alias_dict()
