@@ -244,17 +244,14 @@ def _stopword_guard() -> str:
 # a token. The first token is checked for that by the pattern only against
 # the one character before it (not an ASCII letter or digit); a longer
 # ``[\w\-']`` stretch before it ("non-Gaussian", "x_Bar") is left to
-# ``_is_token_start``. A first token of ASCII digits only must be followed
-# by another entity token: a bare number alone is never a run.
+# ``_is_token_start``. A bare number (one token, all digits) is dropped by
+# ``_entity_runs``.
 _NOT_STOPWORD = _stopword_guard()
 _ENT_TOKEN = f"[A-Z0-9]{_NOT_STOPWORD}{_W}*+"
 _RUN_GAP = r"[^A-Za-z0-9\n.!?]*+(?:[.!?](?!\s)[^A-Za-z0-9\n.!?]*+)*+"
 _NEXT_TOKEN = f"{_RUN_GAP}{_ENT_TOKEN}"
-_DIGITS_TOKEN = f"(?<=[0-9])[0-9]*+(?!{_W})"
 _RUN_RE = re.compile(
-    f"([A-Z0-9](?<![A-Za-z0-9]{{2}}){_NOT_STOPWORD}"
-    f"(?:{_DIGITS_TOKEN}(?={_NEXT_TOKEN})|(?!{_DIGITS_TOKEN}){_W}*+))"
-    f"(?:{_NEXT_TOKEN})*+"
+    f"([A-Z0-9](?<![A-Za-z0-9]{{2}}){_NOT_STOPWORD}{_W}*+)(?:{_NEXT_TOKEN})*+"
 )
 _TOKEN_END_RE = re.compile(f"{_W}*+")
 _ALNUM_RE = re.compile(r"[A-Za-z0-9]")
@@ -267,10 +264,6 @@ for _ in range(MAX_PREDICATE_TOKENS - 1):
     _pred_gap = f"{_GAP_TOKEN}(?:{_pred_gap})?"
 _PRED_GAP_RE = re.compile(f"[^A-Za-z0-9]*+{_pred_gap}")
 del _pred_gap
-
-# Surfaces whose norm_surface is their lowercase: ASCII words joined by
-# single spaces (no whitespace to collapse, no edge punctuation).
-_PLAIN_SURFACE_RE = re.compile(r"[A-Za-z0-9]+(?: [A-Za-z0-9]+)*")
 
 
 def _is_token_start(text: str, i: int) -> bool:
@@ -306,7 +299,7 @@ def _entity_runs(text: str) -> list[tuple[int, int]]:
             s = nxt.start()
             first_end = _TOKEN_END_RE.match(text, s).end()
         if first_end == e and text[s].isdigit() and text[s:e].isdigit():
-            continue  # bare number with non-ASCII digits ("3²")
+            continue  # bare number ("2024", "3²")
         runs.append((s, e))
     return runs
 
@@ -337,7 +330,6 @@ def scan_mentions_and_triples(
     n_seps = len(seps)
     contexts: dict[int, str] = {}
     norms: dict[str, str] = {}
-    plain = _PLAIN_SURFACE_RE.fullmatch
     gap = _PRED_GAP_RE.fullmatch
     prev_k = -1
     prev: Mention | None = None
@@ -351,9 +343,7 @@ def scan_mentions_and_triples(
         surface = text[s:min(e, s + NAME_MAX_CHARS)]
         norm = norms.get(surface)
         if norm is None:
-            norm = norms[surface] = (
-                surface.lower() if plain(surface) else norm_surface(surface)
-            )
+            norm = norms[surface] = norm_surface(surface)
         cur = Mention(surface, norm, s, e, context)
         mentions.append(cur)
         if k == prev_k and (g := gap(text, prev.end, s)) is not None:

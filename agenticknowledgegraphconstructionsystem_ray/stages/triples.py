@@ -11,7 +11,7 @@ The per-page kernel is the document-level scanner
 ``functions/triples.scan_mentions_and_triples`` (one regex pass for sentence
 separators and one for candidate entity runs per page). Its mentions carry
 their norms and its triples carry ``subj_norm``/``obj_norm``, so this stage
-normalizes no surface itself except alias canonicals (memoized per actor).
+normalizes no surface itself except the alias canonicals, once per actor.
 The per-token ``extract_mentions_and_triples`` is the sequential reference
 that only the oracles (``oracle.py``, ``goldens.py``) run, so the oracle
 checks compare two independent implementations. Both the task path
@@ -164,7 +164,10 @@ class TripleExtractor:
 
             alias_dict = ray.get(alias_ref)
         self.alias = alias_dict
-        self._canon: dict[str, str] = {}  # norm -> _canonical(norm)
+        # norm -> the dedup key of an alias hit: its canonical, normalized
+        self._canon = (
+            {k: _norm(v[0]) for k, v in alias_dict.items()} if alias_dict else {}
+        )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -246,14 +249,8 @@ class TripleExtractor:
             best: dict[tuple, tuple] = {}
             for t in triples:
                 sn, on = t.subj_norm, t.obj_norm
-                canon_s = canon.get(sn)
-                if canon_s is None:
-                    canon_s = canon[sn] = self._canonical(sn)
-                canon_o = canon.get(on)
-                if canon_o is None:
-                    canon_o = canon[on] = self._canonical(on)
                 conf = self._confidence(scores, sn, on, n_high, n_med, n_low, n_total)
-                key = (canon_s, t.pred, canon_o)
+                key = (canon.get(sn, sn), t.pred, canon.get(on, on))
                 cand = (conf, t.context, t.subj, sn, t.obj, on)
                 if key not in best or cand < best[key]:
                     best[key] = cand
@@ -296,11 +293,6 @@ class TripleExtractor:
             }),
             _mcount_table(mention_tbl),
         ])
-
-    def _canonical(self, norm: str) -> str:
-        """The dedup key of a norm: its alias canonical, normalized."""
-        hit = self.alias.get(norm) if self.alias else None
-        return _norm(hit[0]) if hit else norm
 
     @staticmethod
     def _confidence(

@@ -54,3 +54,19 @@ def test_fused_linking_matches_standalone():
         assert (a["norm_surface"], a["ent_type"], a["link_score"]) == (
             b["norm_surface"], b["ent_type"], b["link_score"],
         )
+
+
+def test_triple_dedup_key_is_the_normalized_canonical():
+    # the canonical surface is not itself a key of this alias dict, so a raw
+    # mention of it and a mention of its alias share a dedup key only if the
+    # canonical is normalized
+    alias = {"nerf": ("Neural Radiance Fields", "method")}
+    batch = pa.table({
+        "url": ["u1"],
+        "warc_ts": pa.array([0], pa.timestamp("us")),
+        "text": ["NeRF improves on Plenoxels. Neural Radiance Fields improves on Plenoxels."],
+        "lang": ["en"],
+    })
+    records = TripleExtractor(alias_dict=alias)(batch)
+    triples = [r for r in records.to_pylist() if r["kind"] == "triple"]
+    assert len(triples) == 1 and triples[0]["pred"] == "improves_on"
