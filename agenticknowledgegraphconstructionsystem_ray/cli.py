@@ -265,7 +265,9 @@ def main(argv: list[str] | None = None) -> int:
 
         # 4. link table: the base aggregate (a prior update's merged table
         # when chaining, else built from --base-pages) + delta-only scan,
-        # merged by one bucketed host-pair sum (weblinks.sum_link_pairs)
+        # merged without a shuffle: one task per base file sums the file
+        # with its bucket range of the broadcast delta
+        # (weblinks.merge_link_tables)
         delta_files = sorted(
             _glob.glob(_os.path.join(args.delta_pages, "*.parquet")))
         prior_links = _os.path.join(args.base_out, "links")

@@ -808,10 +808,11 @@ def _kg_search_impl(sf_dir: str, qterms: list, K: int):
 # ---------------------------------------------------------------------------
 
 FTS_BUCKETS = 64
-# Hash buckets of the link-table pair-sum shuffle (weblinks.sum_link_pairs):
-# one Arrow group_by per bucket, and one bucket never spans two reduce
-# tasks, so this also caps the sum's parallelism — raise it with the
-# host-pair count, as FTS_BUCKETS with the vocabulary.
+# Hash buckets of the link table (weblinks): the cold build's shuffle
+# sums one bucket per Arrow group_by, and one bucket never spans two
+# reduce tasks or two files, so this caps both the build's parallelism
+# and the merge's (one task per file) — raise it with the host-pair
+# count, as FTS_BUCKETS with the vocabulary.
 LINK_BUCKETS = 64
 FTS_POS_CAP = 64  # capped per-(term,doc) positions stored for phrase ops
 # Row-group size of the postings files: small groups + the (bkt, term,

@@ -36,10 +36,12 @@ bit-for-bit against it at sf0.01.
 
 from __future__ import annotations
 
+import glob
 import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
@@ -96,18 +98,26 @@ def wg_outlinks(sf_dir: str):
 # hrefs from 100 TB of HTML — the same extract-once-query-many contract the
 # KG queries already follow via kgqueries._ensure_run. Sentinel rows
 # (dst = "\\x00", n = 0) record every page's own host so node sets that
-# must include link-less pages' hosts stay derivable. Every build, merge
-# and incremental view sums its pair rows through ONE helper,
-# sum_link_pairs: rows are tagged with a stable hash bucket of the pair
-# (host_id of the NUL-joined pair mod kgqueries.LINK_BUCKETS — never
-# Python's salted hash()), shuffled by bucket, and each bucket is summed
-# by one vectorized Arrow group_by, so no per-pair Python step runs (a Ray
-# groupby-aggregate pays one per host pair). Rows are ordered by bucket,
-# then (src_host, dst_host); consumers that need an order sort.
+# must include link-less pages' hosts stay derivable.
+#
+# Each row also stores its pair's stable hash bucket, ``bkt`` (host_id of
+# the NUL-joined pair mod kgqueries.LINK_BUCKETS — never Python's salted
+# hash()). The cold build (sum_link_pairs) shuffles by bucket and sums
+# each bucket with one vectorized Arrow group_by, so no per-pair Python
+# step runs (a Ray groupby-aggregate pays one per host pair). Its range
+# shuffle writes each contiguous range of buckets to ONE file, sorted by
+# (bkt, src_host, dst_host); the ranges are disjoint and readable from the
+# footer statistics of ``bkt``. That layout is what lets a merge
+# (merge_link_tables, wg_host_graph_incremental) skip the all-to-all: the
+# small delta is broadcast and each base file is merged with its slice of
+# the delta by one task, into one file with the same bucket range — so a
+# chain of merges never shuffles either. Readers project ``bkt`` away
+# (_links_dataset); consumers that need an order sort.
 # ---------------------------------------------------------------------------
 
 _SENTINEL = "\x00"  # not a possible netloc; tags page-host node rows
-LINK_TABLE_VERSION = 3  # v3: bucketed Arrow pair sums (sum_link_pairs)
+LINK_TABLE_VERSION = 4  # v4: bkt column, files hold disjoint bucket ranges
+LINK_COLUMNS = ["src_host", "dst_host", "n_links"]
 
 
 def _sentinel_pair_partials(t: pa.Table) -> pa.Table:
@@ -140,28 +150,31 @@ def _link_bucket(t: pa.Table) -> pa.Table:
     return t.append_column("bkt", pa.array(bkts, pa.int32()))
 
 
-def _sum_bucket(t: pa.Table) -> pa.Table:
-    """One bucket's rows -> one (src_host, dst_host, n_links) row per pair,
-    pair-sorted."""
-    g = t.group_by(["src_host", "dst_host"]).aggregate([("n_links", "sum")])
+def _sum_pairs(t: pa.Table) -> pa.Table:
+    """Bucket-tagged link rows -> one (src_host, dst_host, n_links, bkt)
+    row per pair, sorted by (bkt, src_host, dst_host)."""
+    g = t.group_by(["bkt", "src_host", "dst_host"]).aggregate(
+        [("n_links", "sum")])
     return pa.table(
         {
             "src_host": g["src_host"],
             "dst_host": g["dst_host"],
             "n_links": g["n_links_sum"],
+            "bkt": g["bkt"],
         }
-    ).sort_by([("src_host", "ascending"), ("dst_host", "ascending")])
+    ).sort_by([("bkt", "ascending"), ("src_host", "ascending"),
+               ("dst_host", "ascending")])
 
 
-def sum_link_pairs(*parts: rd.Dataset) -> rd.Dataset:
-    """The UNION of (src_host, dst_host, n_links) datasets summed to one
-    row per host pair: bucket tag -> bucket shuffle -> per-bucket Arrow
-    group_by sum (the layout of kgqueries._write_postings)."""
-    rows = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+def sum_link_pairs(rows: rd.Dataset) -> rd.Dataset:
+    """The cold build's sum: (src_host, dst_host, n_links) rows summed to
+    one row per host pair — bucket tag -> bucket range shuffle ->
+    per-bucket Arrow group_by sum (the layout of
+    kgqueries._write_postings)."""
     return (
         rows.map_batches(_link_bucket, batch_format="pyarrow")
         .groupby("bkt")
-        .map_groups(_sum_bucket, batch_format="pyarrow")
+        .map_groups(_sum_pairs, batch_format="pyarrow")
     )
 
 
@@ -169,6 +182,70 @@ def _page_pairs(pages_files: list) -> rd.Dataset:
     """Pair partials (sentinels included) over a pages file list."""
     return rd.read_parquet(pages_files, columns=["url", "html"]).map_batches(
         _sentinel_pair_partials, batch_format="pyarrow")
+
+
+def _bucket_ranges(links_dir: str) -> list[tuple[str, int, int]]:
+    """(file, lo, hi) per link-table file: the half-open bucket range
+    [lo, hi) the file owns. Ranges come from the footer statistics of
+    ``bkt``; file i owns [its min, file i+1's min), the first range starts
+    at 0 and the last ends at LINK_BUCKETS, so the ranges partition every
+    bucket. Raises on a file without ``bkt`` statistics and on files whose
+    bucket spans overlap (a merge would split a pair across two files)."""
+    spans = []
+    for f in sorted(glob.glob(os.path.join(links_dir, "*.parquet"))):
+        md = pq.read_metadata(f)
+        names = md.schema.names
+        stats = [
+            md.row_group(g).column(names.index("bkt")).statistics
+            if "bkt" in names else None
+            for g in range(md.num_row_groups)
+        ]
+        if not stats or any(s is None or not s.has_min_max for s in stats):
+            raise ValueError(f"{f}: no bkt statistics (not a v4 link table)")
+        spans.append((min(s.min for s in stats), max(s.max for s in stats), f))
+    spans.sort()
+    for (_, hi, f), (lo, _, g) in zip(spans, spans[1:]):
+        if hi >= lo:
+            raise ValueError(f"bucket ranges of {f} and {g} overlap")
+    los = [0] + [lo for lo, _, _ in spans[1:]]
+    return [(f, lo, hi)
+            for (_, _, f), lo, hi in zip(spans, los, los[1:] + [LINK_BUCKETS])]
+
+
+def _merged_links(base_links: str, delta_pairs: rd.Dataset) -> rd.Dataset:
+    """Base link table (a directory of v4 files) + delta pair rows, summed
+    to one row per pair with no all-to-all. Two executions:
+
+    1. the delta's rows get their bucket and each block is sorted by it,
+       materialized — O(delta host pairs);
+    2. one task per base file: it reads the file, binary-searches its
+       bucket range out of every (broadcast) delta block, and sums the
+       union with one Arrow group_by — one output block, which keeps the
+       base file's bucket range.
+
+    Rows come out as the cold build writes them, so the output, in base
+    file order, is row-identical to a cold build over base ∪ delta."""
+    ranges = _bucket_ranges(base_links)
+    delta_refs = (
+        delta_pairs.map_batches(lambda t: _link_bucket(t).sort_by("bkt"),
+                                batch_format="pyarrow")
+        .materialize()
+        .to_arrow_refs()
+    )
+
+    def merge_file(task: pa.Table, refs=delta_refs) -> pa.Table:
+        f, lo, hi = (task[c][0].as_py() for c in ("file", "lo", "hi"))
+        parts = [pq.read_table(f)]
+        for block in ray.get(refs):
+            if not block.num_rows:
+                continue  # map stages pass empty input blocks through
+            i, j = np.searchsorted(block["bkt"].to_numpy(), [lo, hi])
+            parts.append(block.slice(i, j - i))
+        return _sum_pairs(pa.concat_tables(parts))
+
+    tasks = [{"file": f, "lo": lo, "hi": hi} for f, lo, hi in ranges]
+    return rd.from_items(tasks, override_num_blocks=len(tasks)).map_batches(
+        merge_file, batch_size=1, batch_format="pyarrow")
 
 
 def links_root(sf_dir: str) -> str:
@@ -179,8 +256,6 @@ def links_root(sf_dir: str) -> str:
 
 def _ensure_link_tables(sf_dir: str) -> str:
     """Build (or reuse) the materialized link table for a corpus."""
-    import glob
-
     pages_dir = synth.ensure_pages(sf_of(sf_dir))
     return _ensure_link_tables_for(
         sorted(glob.glob(os.path.join(pages_dir, "*.parquet"))),
@@ -208,23 +283,24 @@ def _ensure_link_tables_for(pages_files: list, root: str) -> str:
 
 def merge_link_tables(base_root: str, delta_pages_files: list,
                       dest: str) -> str:
-    """cli update's link-table refresh: the base aggregate (read back, not
-    re-scanned) unioned with pair partials over ONLY the delta pages,
-    summed by sum_link_pairs, written as the merged link table. Sentinel
-    page-host rows ride along, so the output is row-identical to a full
-    _ensure_link_tables build over base∪delta pages. Cost = delta scan +
-    O(host-pairs); the base corpus is never touched. The contract holds
-    the base table's own contract, so a rebuilt base invalidates the
-    merge."""
+    """cli update's link-table refresh: the base table (read back, not
+    re-scanned) merged with pair partials over ONLY the delta pages by
+    _merged_links — one task per base file, no shuffle — and written as
+    the merged link table, one file per base file with the same bucket
+    range (so the next update in a chain merges the same way). Sentinel
+    page-host rows ride along, so the output is row-identical, in file
+    order, to a full _ensure_link_tables build over base∪delta pages.
+    Cost = delta scan + one read and write of the base table; the base
+    corpus is never touched. The contract holds the base table's own
+    contract, so a rebuilt base invalidates the merge."""
     base_contract = read_contract(base_root)
     if base_contract is None:
         raise FileNotFoundError(
             f"base link table {base_root} has no valid _DONE marker")
 
     def build(tmp: str) -> None:
-        sum_link_pairs(
-            rd.read_parquet(os.path.join(base_root, "links")),
-            _page_pairs(delta_pages_files),
+        _merged_links(
+            os.path.join(base_root, "links"), _page_pairs(delta_pages_files),
         ).write_parquet(os.path.join(tmp, "links"), compression="zstd")
 
     return ensure_artifact(
@@ -237,9 +313,11 @@ def merge_link_tables(base_root: str, delta_pages_files: list,
 
 
 def _links_dataset(sf_dir: str, with_sentinels: bool = False) -> rd.Dataset:
-    """The materialized (src_host, dst_host, n_links) aggregate; sentinel
-    page-host rows are filtered unless asked for."""
-    ds = rd.read_parquet(os.path.join(_ensure_link_tables(sf_dir), "links"))
+    """The materialized (src_host, dst_host, n_links) aggregate (``bkt``
+    projected away); sentinel page-host rows are filtered unless asked
+    for."""
+    ds = rd.read_parquet(os.path.join(_ensure_link_tables(sf_dir), "links"),
+                         columns=LINK_COLUMNS)
     if with_sentinels:
         return ds
     return ds.filter(expr=f"dst_host != {_SENTINEL!r}")
@@ -268,13 +346,12 @@ def wg_host_graph(sf_dir: str):
 
 
 def wg_host_graph_incremental(sf_dir: str):
-    """cli update's link-table face: the base half's PERSISTED aggregate
-    (never re-scanned) + pair partials over ONLY the delta half's pages,
-    summed by sum_link_pairs — update cost scales with the
-    delta scan + O(host-pairs), not the corpus, and the result must equal
-    wg_host_graph's full-corpus output (same SQL oracle)."""
-    import glob
-
+    """cli update's link-table face: the base half's PERSISTED table
+    (never re-scanned) merged with pair partials over ONLY the delta
+    half's pages by _merged_links, the kernel of merge_link_tables — update
+    cost scales with the delta scan + one pass over the base table, and
+    the result must equal wg_host_graph's full-corpus output (same SQL
+    oracle)."""
     pages_dir = synth.ensure_pages(sf_of(sf_dir))
     files = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
     mid = len(files) // 2
@@ -283,11 +360,10 @@ def wg_host_graph_incremental(sf_dir: str):
     )
 
     return (
-        sum_link_pairs(
-            rd.read_parquet(os.path.join(base_root, "links")),
-            _page_pairs(files[mid:]),
-        )
+        _merged_links(os.path.join(base_root, "links"),
+                      _page_pairs(files[mid:]))
         .filter(expr=f"dst_host != {_SENTINEL!r}")
+        .select_columns(LINK_COLUMNS)
         .sort(["src_host", "dst_host"])
     )
 

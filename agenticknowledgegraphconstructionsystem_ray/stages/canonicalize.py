@@ -30,6 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.textnorm import norm_surface
+from ..runtime import worker_cached
 from ..state.unionfind import UnionFind
 
 PARTIAL_SCHEMA = pa.schema(
@@ -435,9 +436,6 @@ def label_propagation_components_driverless(edges, max_rounds: int = 50):
     )
 
 
-_WORKER_ID_APPLIERS: dict = {}
-
-
 def apply_ids_batch(batch: pa.Table, id_map_ref=None) -> pa.Table:
     """Stateless-task form of ApplyEntityIds: the broadcast id map is
     resolved from the local object store once per worker process and cached,
@@ -448,12 +446,11 @@ def apply_ids_batch(batch: pa.Table, id_map_ref=None) -> pa.Table:
         # already a plain dict: construct fresh — caching by id() could
         # collide across runs after GC reuse
         return ApplyEntityIds(id_map=id_map_ref)(batch)
-    key = id_map_ref.hex() if id_map_ref is not None else None
-    applier = _WORKER_ID_APPLIERS.get(key)
-    if applier is None:
-        applier = ApplyEntityIds(id_map_ref=id_map_ref)
-        _WORKER_ID_APPLIERS[key] = applier
-    return applier(batch)
+
+    def build() -> ApplyEntityIds:
+        return ApplyEntityIds(id_map_ref=id_map_ref)
+
+    return worker_cached(id_map_ref, build)(batch)
 
 
 # Dedup KEY includes the carried subj/obj names: for resolved ids they are

@@ -387,12 +387,6 @@ def minhash_candidate_pairs_ds(docs: rd.Dataset) -> rd.Dataset:
     )
 
 
-def minhash_candidate_pairs(docs: rd.Dataset) -> list[tuple[int, int]]:
-    """Candidate pairs collected to the driver (small result; tests/tools)."""
-    out = minhash_candidate_pairs_ds(docs).to_pandas()
-    return sorted(zip(out["doc_a"].astype(int), out["doc_b"].astype(int)))
-
-
 def _involved_id_set(pairs: rd.Dataset) -> set[int]:
     """Distinct doc ids appearing in candidate pairs — bounded by 2x the
     candidate count (the legitimate broadcast small side)."""

@@ -51,6 +51,7 @@ from ..functions.confidence import (
 )
 from ..functions.textnorm import norm_surface as _norm
 from ..functions.triples import mention_relevance, scan_mentions_and_triples
+from ..runtime import worker_cached
 
 RECORD_FIELDS = [
     ("kind", pa.string()),  # "page" (extracted text) | "mention" | "triple"
@@ -367,11 +368,9 @@ class PerBatchLoadExtractor(TripleExtractor):
 # broadcast alias dict, which lives in the object store — so plain tasks,
 # which reuse warm worker processes with zero actor-spawn cost and fully
 # elastic parallelism, are faster (measured: 30-actor pool spends ~10s
-# spawning at 32 CPUs). The per-worker-process cache below gives tasks the
-# same fetch-once semantics an actor __init__ would.
+# spawning at 32 CPUs). runtime.worker_cached gives tasks the same
+# fetch-once semantics an actor __init__ would.
 # ---------------------------------------------------------------------------
-
-_WORKER_EXTRACTORS: dict = {}
 
 
 def extract_records_batch(
@@ -386,9 +385,8 @@ def extract_records_batch(
         # already a plain dict (runtime dereferenced it): construct fresh —
         # caching by id() could collide across runs after GC reuse
         return TripleExtractor(lang_allow=lang_allow, alias_dict=alias_ref)(batch)
-    key = (alias_ref.hex() if alias_ref is not None else None, lang_allow)
-    extractor = _WORKER_EXTRACTORS.get(key)
-    if extractor is None:
-        extractor = TripleExtractor(lang_allow=lang_allow, alias_ref=alias_ref)
-        _WORKER_EXTRACTORS[key] = extractor
-    return extractor(batch)
+
+    def build() -> TripleExtractor:
+        return TripleExtractor(lang_allow=lang_allow, alias_ref=alias_ref)
+
+    return worker_cached((alias_ref, lang_allow), build)(batch)

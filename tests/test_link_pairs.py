@@ -1,19 +1,24 @@
-"""weblinks.sum_link_pairs — the one host-pair sum behind the link-table
-build, the link merge and wg_host_graph_incremental — against a plain-dict
-reference, plus the stability of its hash buckets and the link-table
-contract version."""
+"""The link table's two sums against a plain-dict reference: the cold
+build's bucket shuffle (weblinks.sum_link_pairs) and the shuffle-free
+merge behind merge_link_tables and wg_host_graph_incremental
+(weblinks._merged_links). Also the stability of the hash buckets, the
+bucket-range layout the merge reads from the Parquet footers, and the
+link-table contract version."""
 
 import glob
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from agenticknowledgegraphconstructionsystem_ray.pipelines import weblinks
@@ -24,7 +29,7 @@ from agenticknowledgegraphconstructionsystem_ray.pipelines.kgqueries import (
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LINK_SCHEMA = pa.schema(
     [("src_host", pa.string()), ("dst_host", pa.string()),
-     ("n_links", pa.int64())]
+     ("n_links", pa.int64()), ("bkt", pa.int32())]
 )
 HOSTS = ["a.example", "b.example", "bücher.example", "例え.jp", "дом.рф",
          "xn--bcher-kva.example"]
@@ -38,6 +43,10 @@ link_row = st.one_of(
               st.just(0)),
 )
 blocks = st.lists(st.lists(link_row, max_size=8), min_size=1, max_size=3)
+
+
+def _bucket(s: str, d: str) -> int:
+    return weblinks._link_bucket(_table([(s, d, 1)]))["bkt"][0].as_py()
 
 
 def _table(rows) -> pa.Table:
@@ -63,9 +72,7 @@ def test_sum_link_pairs_matches_dict_reference(ray_session, base, delta,
             want[(s, d)] = want.get((s, d), 0) + n
 
     ds = weblinks.sum_link_pairs(
-        rd.from_arrow([_table(b) for b in base]),
-        rd.from_arrow([_table(b) for b in delta]),
-    ).materialize()
+        rd.from_arrow([_table(b) for b in base + delta])).materialize()
     got: dict = {}
     for bundle in ds.iter_internal_ref_bundles():
         for ref in bundle.block_refs:
@@ -77,9 +84,10 @@ def test_sum_link_pairs_matches_dict_reference(ray_session, base, delta,
                 # non-empty and has the link schema
                 continue
             assert block.schema.equals(LINK_SCHEMA)
-            for s, d, n in zip(*(block[c].to_pylist()
-                                 for c in LINK_SCHEMA.names)):
+            for s, d, n, b in zip(*(block[c].to_pylist()
+                                    for c in LINK_SCHEMA.names)):
                 assert (s, d) not in got, "pair summed in two places"
+                assert b == _bucket(s, d)
                 got[(s, d)] = n
     assert got == want
 
@@ -138,3 +146,160 @@ def test_old_link_contract_is_rebuilt(ray_session, tmp_path):
     for f in link_files:
         assert pq.read_metadata(f).num_rows > 0
         assert pq.read_schema(f).remove_metadata().equals(LINK_SCHEMA)
+
+
+# ---------------------------------------------------------------------------
+# The shuffle-free merge (weblinks._merged_links / merge_link_tables)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_base(tmp_path_factory, ray_session):
+    """A link table from the real cold build over a 12-page corpus: several
+    files, and some of the LINK_BUCKETS buckets hold no row. Returns the
+    table's root, its pair sums, and a pair whose bucket no base row
+    holds."""
+    from agenticknowledgegraphconstructionsystem_ray import synth
+
+    work = tmp_path_factory.mktemp("small_links")
+    files = synth.write_pages(str(work / "pages"), 12, n_files=3)
+    root = weblinks._ensure_link_tables_for(files, str(work / "links"))
+    base = _read_sums(os.path.join(root, "links"))
+    held = {_bucket(s, d) for s, d in base}
+    gap = next(p for p in ((f"gap{i}.example", HOSTS[0])
+                           for i in itertools.count())
+               if _bucket(*p) not in held)
+    return root, base, gap
+
+
+def _read_sums(links_dir: str) -> dict:
+    """Pair sums of a link table; asserts its v4 layout on the way: the
+    link schema, every file sorted by (bkt, src_host, dst_host), no pair in
+    two places."""
+    sums: dict = {}
+    for f in sorted(glob.glob(os.path.join(links_dir, "*.parquet"))):
+        t = pq.read_table(f)
+        assert t.schema.remove_metadata().equals(LINK_SCHEMA)
+        keys = list(zip(t["bkt"].to_pylist(), t["src_host"].to_pylist(),
+                        t["dst_host"].to_pylist()))
+        assert keys == sorted(keys)
+        for (b, s, d), n in zip(keys, t["n_links"].to_pylist()):
+            assert (s, d) not in sums, "pair summed in two places"
+            assert b == _bucket(s, d)
+            sums[(s, d)] = n
+    return sums
+
+
+def _merge(base_links: str, blocks: list, out: str) -> str:
+    weblinks._merged_links(
+        base_links, rd.from_arrow([_table(b) for b in blocks])
+    ).write_parquet(out)
+    return out
+
+
+def _plus(sums: dict, blocks: list) -> dict:
+    want = dict(sums)
+    for rows in blocks:
+        for s, d, n in rows:
+            want[(s, d)] = want.get((s, d), 0) + n
+    return want
+
+
+def _spans(links_dir: str) -> list:
+    return [(lo, hi) for _, lo, hi in weblinks._bucket_ranges(links_dir)]
+
+
+@given(data=st.data())
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_merge_matches_dict_reference(small_base, data):
+    """base ⊕ d1, then (base ⊕ d1) ⊕ d2, against plain-dict sums. Delta
+    rows hit base pairs, new pairs, and (always) a bucket no base row
+    holds, in a block of its own that misses every other file's range.
+    Each merge keeps the base's file count and bucket ranges."""
+    root, base, gap = small_base
+    base_links = os.path.join(root, "links")
+    row = st.one_of(
+        link_row,
+        st.tuples(st.sampled_from(sorted(base)), st.integers(0, 5)).map(
+            lambda p: (p[0][0], p[0][1], p[1])),
+    )
+    d1 = data.draw(st.lists(st.lists(row, max_size=8), min_size=1,
+                            max_size=3)) + [[(*gap, 1)]]
+    d2 = data.draw(st.lists(st.lists(row, max_size=8), min_size=1,
+                            max_size=3))
+    spans = _spans(base_links)
+    assert len(spans) >= 2
+    with tempfile.TemporaryDirectory() as tmp:
+        m1 = _merge(base_links, d1, os.path.join(tmp, "m1"))
+        assert _read_sums(m1) == _plus(base, d1)
+        assert _spans(m1) == spans
+        m2 = _merge(m1, d2, os.path.join(tmp, "m2"))
+        assert _read_sums(m2) == _plus(base, d1 + d2)
+        assert _spans(m2) == spans
+
+
+def test_merge_runs_no_all_to_all(small_base, tmp_path, monkeypatch):
+    """merge_link_tables never calls a Dataset shuffle; the same spy sees
+    the cold build's groupby, so it would see one in the merge."""
+    from agenticknowledgegraphconstructionsystem_ray import synth
+
+    calls = []
+    for name in ("sort", "groupby", "union", "repartition",
+                 "random_shuffle"):
+        def spy(self, *a, _name=name, _orig=getattr(rd.Dataset, name), **k):
+            calls.append(_name)
+            return _orig(self, *a, **k)
+
+        monkeypatch.setattr(rd.Dataset, name, spy)
+    root, base, _ = small_base
+    delta = synth.write_pages(str(tmp_path / "delta"), 4, n_files=1)
+    merged = weblinks.merge_link_tables(root, delta, str(tmp_path / "m"))
+    assert calls == []
+    cold = weblinks._ensure_link_tables_for(delta, str(tmp_path / "cold"))
+    assert "groupby" in calls
+    delta_sums = _read_sums(os.path.join(cold, "links"))
+    assert _read_sums(os.path.join(merged, "links")) == _plus(
+        base, [[(s, d, n) for (s, d), n in delta_sums.items()]])
+
+
+def test_overlapping_or_unstated_bucket_ranges_raise(tmp_path):
+    links = tmp_path / "links"
+    links.mkdir()
+
+    def write(name, bkts, **kw):
+        pq.write_table(pa.table({
+            "src_host": [f"h{b}" for b in bkts],
+            "dst_host": ["d"] * len(bkts),
+            "n_links": pa.array([1] * len(bkts), pa.int64()),
+            "bkt": pa.array(bkts, pa.int32()),
+        }), links / name, **kw)
+
+    write("a.parquet", [0, 3, 10])
+    write("b.parquet", [11, 20])
+    assert _spans(str(links)) == [(0, 11), (11, LINK_BUCKETS)]
+    write("b.parquet", [10, 20])  # bucket 10 in both files
+    with pytest.raises(ValueError, match="overlap"):
+        weblinks._merged_links(str(links), rd.from_arrow(_table([])))
+    write("b.parquet", [11, 20], write_statistics=False)
+    with pytest.raises(ValueError, match="statistics"):
+        weblinks._bucket_ranges(str(links))
+
+
+def test_chained_merge_matches_cold_build_in_file_order(pages_dir,
+                                                        tmp_path):
+    """update(update(base, d1), d2) writes exactly the files' rows a cold
+    build over base ∪ d1 ∪ d2 writes, in the same order."""
+    files = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
+    base = weblinks._ensure_link_tables_for(files[:4], str(tmp_path / "b"))
+    m1 = weblinks.merge_link_tables(base, files[4:5], str(tmp_path / "m1"))
+    m2 = weblinks.merge_link_tables(m1, files[5:], str(tmp_path / "m2"))
+    cold = weblinks._ensure_link_tables_for(files, str(tmp_path / "cold"))
+
+    def read(root):
+        return pq.read_table(sorted(glob.glob(
+            os.path.join(root, "links", "*.parquet"))))
+
+    assert read(m2).equals(read(cold))
+    assert _spans(os.path.join(m2, "links")) == _spans(
+        os.path.join(base, "links"))
