@@ -54,7 +54,7 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Sum
 
-from ..runtime import cluster_cpus
+from ..runtime import cluster_cpus, worker_cached
 from ..sources.tables import read_table
 from .scoring import _TOKEN_RE
 
@@ -162,12 +162,11 @@ BLOOM_K = 4
 _VERIFY_BUCKETS = 64
 
 
-# Per-worker-process bloom cache: the broadcast bitmap is ray.get-fetched
-# once per worker process, so the screen runs as plain stateless tasks with
+# The broadcast bloom bitmap is ray.get-fetched once per worker process
+# (runtime.worker_cached), so the screen runs as plain stateless tasks with
 # ELASTIC parallelism — the actor-pool form capped the stage at 8 actors on
 # a 32-CPU host, making it round-2's most starved bench segment. Pattern:
 # stages/triples.py extract_records_batch, stages/dedup.py fetch_shingles.
-_WORKER_BLOOMS: dict = {}
 
 
 def bloom_screen_batch(t: pa.Table, bloom_ref=None) -> pa.Table:
@@ -181,11 +180,7 @@ def bloom_screen_batch(t: pa.Table, bloom_ref=None) -> pa.Table:
     list, not per-gram Python."""
     from collections import Counter
 
-    key = bloom_ref.hex()
-    bloom = _WORKER_BLOOMS.get(key)
-    if bloom is None:
-        bloom = ray.get(bloom_ref)
-        _WORKER_BLOOMS[key] = bloom
+    bloom = worker_cached(bloom_ref, lambda: ray.get(bloom_ref))
 
     ids = t["doc_id"].to_pylist()
     texts = t["text"].to_pylist()

@@ -34,11 +34,10 @@ import hashlib
 import pyarrow as pa
 import ray
 
+from ..runtime import worker_cached
 from ..sources.tables import read_table
 from .assembly import EVAL_MOD, NSHARDS, _doc_grams, eval_gram_set
 from .gopher import _gopher_batch
-
-_WORKER_EVAL_GRAMS: dict = {}
 
 STATUS_EVAL = "eval"
 STATUS_DUP = "duplicate"
@@ -51,11 +50,7 @@ def _flags_batch(t: pa.Table, gram_ref=None) -> pa.Table:
     """One pass per document: content hash, Gopher keep, contamination,
     eval membership, shard — everything the disposition needs, so the
     downstream shuffle carries no text."""
-    key = gram_ref.hex()
-    grams = _WORKER_EVAL_GRAMS.get(key)
-    if grams is None:
-        grams = ray.get(gram_ref)
-        _WORKER_EVAL_GRAMS[key] = grams
+    grams = worker_cached(gram_ref, lambda: ray.get(gram_ref))
 
     ids = t["doc_id"].to_pylist()
     texts = t["text"].to_pylist()

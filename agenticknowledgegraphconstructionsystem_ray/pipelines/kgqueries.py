@@ -17,7 +17,12 @@ import re
 import ray.data as rd
 
 from .. import synth
-from ..state.artifacts import cache_root, ensure_artifact, source_fingerprint
+from ..state.artifacts import (
+    cache_root,
+    ensure_artifact,
+    read_contract,
+    source_fingerprint,
+)
 from . import kg
 
 
@@ -790,33 +795,34 @@ def _kg_search_impl(sf_dir: str, qterms: list, K: int):
 # Persisted full-text index — the reference's GIN index itself (tsvector
 # GENERATED columns + CREATE INDEX ... USING GIN, db_init.py:35-42), not
 # just the query capability: ONE tokenize pass over the extracted text
-# writes term-bucket-partitioned postings (bkt = md5(term) % FTS_BUCKETS;
-# rows (term, url, tf, dl), one per distinct (term, doc)) plus per-doc
-# sentinel rows in bucket FTS_BUCKETS carrying (url, dl) for the corpus
-# stats. v4: the build ends in ONE distributed (bkt, term, url) range
-# sort — the only all-to-all, the classic index-build trade — giving
-# term-clustered, url-sorted row groups (FTS_ROW_GROUP rows each). A
-# query then pushes its term filter into the parquet scanner: row-group
-# min/max stats prune the read to ~the probed terms' posting lists (the
-# GIN cost model made physical — bytes read ~ sum of posting lists, never
-# whole buckets), never touching the corpus text: df from the pruned
-# rows, AND-match + BM25 from a url-keyed groupby bounded by the query
-# terms' posting sizes — exact at ANY selectivity with no cap heuristic
-# (a stop-word term pays its own posting-list size, like every FTS
-# engine). Cached through state.artifacts.ensure_artifact with a source
-# fingerprint, like every persisted artifact.
+# writes postings rows (term, url, tf, dl, pos), one per distinct
+# (term, doc), plus one sentinel row per doc (term "") carrying its dl.
+# v5: no shuffle. The build writes one segment file per group of page
+# files, each sorted by (term, url) in its own task, so the sentinel rows
+# open every segment and a term's postings are contiguous row groups
+# (FTS_ROW_GROUP rows each). The corpus stats (N docs, T tokens) are
+# summed from the sentinel rows once, at build time, into stats.json. A
+# query pushes an OR of term equalities into the parquet scanner, and
+# the row-group min/max statistics of the sorted segments prune the read
+# to ~the probed terms' posting lists, never touching the corpus text:
+# df from the pruned rows, AND-match + BM25 from a url-keyed groupby
+# bounded by the query terms' posting sizes — exact at ANY selectivity
+# with no cap heuristic (a stop-word term pays its own posting-list
+# size, like every FTS engine). Cached through
+# state.artifacts.ensure_artifact with a source fingerprint, like every
+# persisted artifact.
 # ---------------------------------------------------------------------------
 
-FTS_BUCKETS = 64
 # Hash buckets of the link table (weblinks): the cold build's shuffle
 # sums one bucket per Arrow group_by, and one bucket never spans two
 # reduce tasks or two files, so this caps both the build's parallelism
 # and the merge's (one task per file) — raise it with the host-pair
-# count, as FTS_BUCKETS with the vocabulary.
+# count.
 LINK_BUCKETS = 64
+FTS_VERSION = 5
 FTS_POS_CAP = 64  # capped per-(term,doc) positions stored for phrase ops
-# Row-group size of the postings files: small groups + the (bkt, term,
-# url) build sort give term-clustered row groups whose min/max stats let
+# Row-group size of the postings segments: small groups in (term, url)
+# sorted segments give term-clustered row groups whose min/max stats let
 # the read prune to ~only the query terms' posting lists — the GIN
 # "postings clustered by key" layout. 8k rows/group keeps per-group
 # metadata overhead negligible while bounding over-read per probed term.
@@ -828,30 +834,49 @@ def fts_root(sf_dir: str) -> str:
     return cache_root("fts", f"sf{sf_of(sf_dir):g}")
 
 
-def _fts_bucket(term: str) -> int:
-    import hashlib
-
-    return int(hashlib.md5(term.encode()).hexdigest()[:8], 16) % FTS_BUCKETS
-
-
 def _ensure_text_index(sf_dir: str) -> str:
     return build_fts_postings(_ensure_run(sf_dir), fts_root(sf_dir))
+
+
+def _fts_segments(pages: list) -> list:
+    """The page-record files split into the build's segments, one task
+    and one output file each: one segment per cluster CPU (never more
+    than files), raised only when the files' uncompressed bytes (from
+    their footers) per segment would exceed Ray's target block size."""
+    import pyarrow.parquet as pq
+    from ray.data import DataContext
+
+    from ..runtime import cluster_cpus
+
+    n_bytes = sum(
+        md.row_group(g).total_byte_size
+        for md in map(pq.read_metadata, pages)
+        for g in range(md.num_row_groups)
+    )
+    target = DataContext.get_current().target_max_block_size
+    n = min(len(pages), max(cluster_cpus(), -(-n_bytes // target)))
+    return [pages[i::n] for i in range(n)]
 
 
 def build_fts_postings(run_dirs, root: str) -> str:
     """Marker-guarded build of the postings layout from one (or several)
     completed runs' extracted-text artifacts. Delta-friendly by design:
-    postings rows are per (term, doc) and the corpus stats are additive
-    sentinel rows, so an incremental index for base∪delta is simply the
-    base layout UNION a delta layout built from the delta run alone —
-    query semantics over the union of files are exactly those of a full
+    postings rows are per (term, doc) and the corpus stats are additive,
+    so an incremental index for base∪delta is simply the base layout
+    UNION a delta layout built from the delta run alone — query
+    semantics over the union of roots are exactly those of a full
     rebuild (kg_update_search proves this against the scan-path oracle).
     Assumption: base and delta hold DISJOINT urls (snapshot increments) —
     a re-crawled url present in both layouts would double-count in the
     corpus stats; re-crawls must rebuild the base index (the same
     disjointness assumption kg.merge_runs makes without
     global_edge_dedup)."""
+    import json
+
     import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
 
     from .scoring import _TOKEN_RE
 
@@ -865,12 +890,12 @@ def build_fts_postings(run_dirs, root: str) -> str:
     # src: sizes/mtimes of the runs' extracted-text files — a regenerated
     # corpus (same sf, same cache root) rebuilds the index instead of
     # serving stale postings.
-    contract = {"v": 4, "layout": kg.LAYOUT_VERSION, "nb": FTS_BUCKETS,
+    contract = {"v": FTS_VERSION, "layout": kg.LAYOUT_VERSION,
                 "pos_cap": FTS_POS_CAP, "rg": FTS_ROW_GROUP,
                 "src": source_fingerprint(*pages)}
 
-    def fts_rows(t: pa.Table) -> pa.Table:
-        bkts, terms, urls, tfs, dls, poss = [], [], [], [], [], []
+    def fts_rows(t: pa.RecordBatch) -> pa.Table:
+        terms, urls, tfs, dls, poss = [], [], [], [], []
         for url, txt in zip(t["url"].to_pylist(), t["text"].to_pylist()):
             toks = _TOKEN_RE.findall(txt.lower())
             dl = len(toks)
@@ -878,16 +903,14 @@ def build_fts_postings(run_dirs, root: str) -> str:
             for i, w in enumerate(toks):
                 by_term.setdefault(w, []).append(i + 1)  # 1-based
             for term, plist in by_term.items():
-                bkts.append(_fts_bucket(term))
                 terms.append(term)
                 urls.append(url)
                 tfs.append(len(plist))
                 dls.append(dl)
                 # capped positional payload: the tsquery '<->' operand
                 poss.append(plist[:FTS_POS_CAP])
-            # sentinel doc row (term "") in the stats bucket: N = row
-            # count, T = sum(dl) — empty-text docs included
-            bkts.append(FTS_BUCKETS)
+            # sentinel doc row (term ""): N = row count, T = sum(dl) —
+            # empty-text docs included
             terms.append("")
             urls.append(url)
             tfs.append(0)
@@ -895,7 +918,6 @@ def build_fts_postings(run_dirs, root: str) -> str:
             poss.append([])
         return pa.table(
             {
-                "bkt": pa.array(bkts, pa.int32()),
                 "term": pa.array(terms, pa.string()),
                 "url": pa.array(urls, pa.string()),
                 "tf": pa.array(tfs, pa.int64()),
@@ -904,103 +926,94 @@ def build_fts_postings(run_dirs, root: str) -> str:
             }
         )
 
+    def segment(task: pa.Table) -> pa.Table:
+        # tokenized 1024 pages at a time, so the Python lists stay small
+        # however large the segment; one sort over the segment's postings
+        return pa.concat_tables(
+            fts_rows(b)
+            for f in task["files"][0].as_py()
+            for b in pq.ParquetFile(f).iter_batches(
+                batch_size=1024, columns=["url", "text"])
+        ).sort_by([("term", "ascending"), ("url", "ascending")])
+
     def build(tmp: str) -> None:
-        _write_postings(
-            kg.text_dataset(run_dirs, columns=["url", "text"])
-            .map_batches(fts_rows, batch_format="pyarrow"),
-            tmp,
-        )
+        tasks = [{"files": g} for g in _fts_segments(pages)]
+        postings = os.path.join(tmp, "postings")
+        rd.from_items(tasks, override_num_blocks=len(tasks)).map_batches(
+            segment, batch_size=1, batch_format="pyarrow",
+        ).write_parquet(postings, compression="zstd",
+                        row_group_size=FTS_ROW_GROUP)
+        # the sentinel rows sort first in every segment, so this read
+        # prunes to each segment's leading row groups
+        dl = pads.dataset(postings, format="parquet").to_table(
+            columns=["dl"], filter=pads.field("term") == "")["dl"]
+        with open(os.path.join(tmp, "stats.json"), "w") as f:
+            json.dump({"n_docs": len(dl),
+                       "n_tokens": pc.sum(dl).as_py() or 0}, f)
 
     return ensure_artifact(root, contract, build)
 
 
-def _write_postings(rows: rd.Dataset, tmp: str) -> None:
-    """The postings write shared by build and compaction: bucket shuffle,
-    per-bucket (term, url) sort, bkt-partitioned row-grouped parquet."""
-    import pyarrow as pa
-
-    # v4: ONE bucket-keyed shuffle + per-bucket in-task (term, url) sort
-    # before the partitioned write — the only all-to-all in the build,
-    # the classic index-build trade: it clusters each term's postings
-    # into contiguous url-sorted row groups, so a query's read prunes by
-    # term min/max stats to ~the probed terms' posting lists instead of
-    # whole buckets. Measured 2.5x faster than a global range sort at
-    # sf0.1 (4.5 vs 11.1 s): the hash exchange skips range sampling, and
-    # the Arrow sort_by runs fully vectorized per bucket. Partitioning
-    # assumption: one task holds one bucket's postings — raise
-    # FTS_BUCKETS with corpus size to keep buckets task-sized (the same
-    # knob every term-sharded index exposes).
-    def sort_bucket(t: pa.Table) -> pa.Table:
-        return t.sort_by([("term", "ascending"), ("url", "ascending")])
-
-    (
-        rows.groupby("bkt")
-        .map_groups(sort_bucket, batch_format="pyarrow")
-        .write_parquet(
-            os.path.join(tmp, "postings"), partition_cols=["bkt"],
-            compression="zstd", row_group_size=FTS_ROW_GROUP,
-        )
-    )
+def _fts_roots(roots) -> list:
+    """Index roots of a query (several = an incremental base∪delta
+    index). A root whose _DONE marker is gone was removed or rebuilt
+    mid-query: that raises, never reads as an empty index. So does a
+    root of another layout version (a chain of earlier cli updates)."""
+    roots = [roots] if isinstance(roots, str) else list(roots)
+    for root in roots:
+        contract = read_contract(root)
+        if contract is None:
+            raise FileNotFoundError(
+                f"full-text index {root} lost its _DONE marker — index "
+                "removed or rebuilt mid-query")
+        if contract.get("v") != FTS_VERSION:
+            raise ValueError(
+                f"full-text index {root} has layout v{contract.get('v')}, "
+                f"not v{FTS_VERSION}: rebuild it with build_fts_postings")
+    return roots
 
 
-def compact_fts_postings(roots: list, dest: str) -> str:
-    """Rewrite the UNION of several FTS layouts (a chain of daily
-    increments) as ONE layout — reads only the posting files, never the
-    corpus text, so compaction cost is proportional to index size (the
-    ordinary LSM/segment-merge step every incremental index eventually
-    runs). Output is query-identical to reading the union of the input
-    layouts (pinned in tests/test_cli_update.py). Deleted or emptied
-    input roots raise before ``dest`` is touched, so a valid compacted
-    layout survives the segment-merge follow-up of removing its inputs."""
-    import glob as _glob
-
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    files = []
-    for r in roots:
-        files.extend(_glob.glob(
-            os.path.join(r, "postings", "**", "*.parquet"), recursive=True))
-    contract = {"v": 4, "layout": kg.LAYOUT_VERSION, "nb": FTS_BUCKETS,
-                "pos_cap": FTS_POS_CAP, "rg": FTS_ROW_GROUP,
-                "compacted": True, "src": source_fingerprint(*files)}
-
-    def with_bkt(t: pa.Table) -> pa.Table:
-        # hive partitioning may hand bkt back as string/dictionary —
-        # normalize to the layout's int32 before re-partitioning
-        b = t["bkt"]
-        if pa.types.is_dictionary(b.type):
-            b = pc.cast(b, b.type.value_type)
-        return t.set_column(
-            t.schema.get_field_index("bkt"), "bkt", pc.cast(b, pa.int32())
-        )
-
-    def build(tmp: str) -> None:
-        parts = [rd.read_parquet(os.path.join(r, "postings")) for r in roots]
-        unioned = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-        _write_postings(
-            unioned.map_batches(with_bkt, batch_format="pyarrow"), tmp)
-
-    return ensure_artifact(dest, contract, build)
-
-
-def _fts_files(roots, buckets: set[int]) -> list:
-    """Posting files of the probed buckets across one or more index roots
-    (several roots = an incremental base∪delta index)."""
+def _fts_files(roots) -> list:
+    """Every posting segment across one or more index roots."""
     import glob
 
-    paths = []
-    for root in [roots] if isinstance(roots, str) else list(roots):
-        for b in sorted(buckets):
-            d = os.path.join(root, "postings", f"bkt={b}")
-            if os.path.isdir(d):
-                paths.extend(sorted(glob.glob(os.path.join(d, "*.parquet"))))
-            elif not os.path.exists(os.path.join(root, "_DONE")):
-                raise FileNotFoundError(
-                    f"full-text index {root} lost its _DONE marker while "
-                    f"probing bkt={b} — index removed or rebuilt mid-query"
-                )
-    return paths
+    return [f for root in _fts_roots(roots)
+            for f in sorted(glob.glob(
+                os.path.join(root, "postings", "*.parquet")))]
+
+
+def _fts_stats(roots) -> tuple:
+    """(N docs, T tokens) summed over the roots' build-time stats."""
+    import json
+
+    n_docs = n_tokens = 0
+    for root in _fts_roots(roots):
+        with open(os.path.join(root, "stats.json")) as f:
+            stats = json.load(f)
+        n_docs += stats["n_docs"]
+        n_tokens += stats["n_tokens"]
+    return n_docs, n_tokens
+
+
+def _term_filter(terms):
+    """Scanner filter for the query terms' postings: an OR of equalities,
+    which pyarrow prunes by row-group statistics (is_in it does not)."""
+    import functools
+    import operator
+
+    import pyarrow.dataset as pads
+
+    return functools.reduce(
+        operator.or_, [pads.field("term") == t for t in sorted(set(terms))])
+
+
+def _read_postings(roots, terms, columns: list) -> rd.Dataset:
+    """The query terms' posting rows across the roots, coalesced into one
+    block per distinct term and materialized, so the url groupby
+    downstream fans out by the probed terms, not by the segment count."""
+    return rd.read_parquet(
+        _fts_files(roots), columns=columns, filter=_term_filter(terms),
+    ).repartition(len(set(terms))).materialize()
 
 
 def kg_search_indexed(sf_dir: str):
@@ -1024,7 +1037,7 @@ def kg_phrase_indexed(sf_dir: str):
     """tsquery followed-by ('t1 <-> t2') served from the persisted
     full-text index — the phrase operator completing the tsquery set
     (AND = kg_search_indexed, '<->' = this): read ONLY the two terms'
-    buckets, url-keyed groupby of their positional rows, intersect
+    posting lists, url-keyed groupby of their positional rows, intersect
     positions at offset 1 (capped at FTS_POS_CAP per (term, doc), the
     cap mirrored in the SQL oracle). Output (url, n_phrase, first_pos)
     sorted by url."""
@@ -1032,21 +1045,13 @@ def kg_phrase_indexed(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
     import pyarrow.compute as pc
-
-    import pyarrow.dataset as pads
-
     import ray
 
     t1, t2 = KG_PHRASE
     _ = _ensure_run(sf_dir)
     root = _ensure_text_index(sf_dir)
-    # term filter pushed into the scanner: the v4 sorted layout prunes
-    # row groups to the two terms' posting lists (see _kg_search_indexed)
-    posts = rd.read_parquet(
-        _fts_files(root, {_fts_bucket(t) for t in (t1, t2)}),
-        columns=["term", "url", "pos"],
-        filter=pads.field("term").isin(sorted({t1, t2})),
-    ).materialize()  # bounded by the two terms' posting sizes
+    # bounded by the two terms' posting sizes (row-group pruning)
+    posts = _read_postings(root, (t1, t2), ["term", "url", "pos"])
 
     # rarest-term semi-join (same optimization as _search_indexed_over):
     # a phrase hit needs BOTH terms, so broadcast the smaller df's url
@@ -1132,30 +1137,15 @@ def _search_indexed_over(roots, run_dirs, qterms: list, K: int):
     import pyarrow.compute as pc
     import ray
 
-    root = roots
     out = run_dirs
     nq = len(qterms)
 
-    # corpus stats from the sentinel bucket (N docs, T tokens)
-    stats_ds = rd.read_parquet(
-        _fts_files(root, {FTS_BUCKETS}), columns=["dl"]
-    )
-    N = stats_ds.count()
-    T = int(stats_ds.sum("dl") or 0)
-
-    # pruned read: ONLY the query terms' buckets, with the term filter
-    # pushed into the parquet scanner — the v4 (bkt, term, url) sorted
-    # layout gives term-clustered row groups, so stats-based pruning
-    # skips every group outside the probed terms' posting lists (the GIN
-    # cost model made physical: bytes read ~ sum of probed posting lists)
-    import pyarrow.dataset as pads
-
-    want = sorted(set(qterms))
-    posts = rd.read_parquet(
-        _fts_files(root, {_fts_bucket(t) for t in qterms}),
-        columns=["term", "url", "tf", "dl"],
-        filter=pads.field("term").isin(want),
-    ).materialize()  # bounded by the query terms' posting sizes
+    N, T = _fts_stats(roots)  # written at build time
+    # pruned read: row-group statistics of the (term, url) sorted
+    # segments skip every group outside the probed terms' posting lists
+    # (the GIN cost model made physical: bytes read ~ sum of probed
+    # posting lists)
+    posts = _read_postings(roots, qterms, ["term", "url", "tf", "dl"])
 
     # exact df per term from the pruned rows (block partials -> sum)
     def df_partial(t: pa.Table) -> pa.Table:

@@ -39,6 +39,7 @@ import ray
 import ray.data as rd
 
 from ..functions.textnorm import norm_surface
+from ..runtime import worker_cached
 from ..stages.canonicalize import ENTITY_SCHEMA, NODES_SCHEMA, component_table
 
 
@@ -48,20 +49,12 @@ def alias_relevant_set(alias: dict[str, tuple[str, str]]) -> set[str]:
     return set(alias) | {norm_surface(v[0]) for v in alias.values()}
 
 
-# Per-worker-process cache of broadcast values (ray.get once per worker, not
-# per batch) so split/apply stages run as plain stateless tasks — elastic
-# parallelism, no actor-pool spinup (pattern: stages/triples.py
+# Broadcast values fetched once per worker process (runtime.worker_cached),
+# not per batch, so split/apply stages run as plain stateless tasks —
+# elastic parallelism, no actor-pool spinup (pattern: stages/triples.py
 # extract_records_batch, stages/canonicalize.apply_ids_batch).
-_WORKER_VALS: dict = {}
-
-
 def _cached_ref(ref):
-    key = ref.hex()
-    v = _WORKER_VALS.get(key)
-    if v is None:
-        v = ray.get(ref)
-        _WORKER_VALS[key] = v
-    return v
+    return worker_cached(ref, lambda: ray.get(ref))
 
 
 def _split_relevant(t: pa.Table, rel_ref=None, keep: bool = True) -> pa.Table:

@@ -169,8 +169,8 @@ def _sum_pairs(t: pa.Table) -> pa.Table:
 def sum_link_pairs(rows: rd.Dataset) -> rd.Dataset:
     """The cold build's sum: (src_host, dst_host, n_links) rows summed to
     one row per host pair — bucket tag -> bucket range shuffle ->
-    per-bucket Arrow group_by sum (the layout of
-    kgqueries._write_postings)."""
+    per-bucket Arrow group_by sum, so each output file holds one
+    contiguous bucket range (the ranges _bucket_ranges reads back)."""
     return (
         rows.map_batches(_link_bucket, batch_format="pyarrow")
         .groupby("bkt")

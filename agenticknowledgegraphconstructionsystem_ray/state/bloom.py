@@ -31,6 +31,8 @@ import math
 
 import numpy as np
 
+from ..runtime import worker_cached
+
 _SEED_1 = 0x5EED_B100
 _SEED_2 = 0x5EED_B200
 
@@ -109,28 +111,20 @@ class BloomFilter:
         return out
 
 
-_WORKER_BLOOMS: dict = {}
-
-
 def bloom_semi_join(ds, key_column: str, bloom_ref):
     """Approximate semi-join: keep rows whose key is (probably) in the
     broadcast Bloom filter. Exact follow-up is the caller's choice.
 
     The filter object is resolved from the object store ONCE per worker
-    process and cached (same pattern as stages/triples.extract_records_batch)
-    — never re-fetched per batch."""
+    process and cached by runtime.worker_cached (same pattern as
+    stages/triples.extract_records_batch) — never re-fetched per batch."""
     import pyarrow as pa
 
     def fil(t: pa.Table, _ref=bloom_ref) -> pa.Table:
-        if hasattr(_ref, "hex"):
-            bf = _WORKER_BLOOMS.get(_ref.hex())
-            if bf is None:
-                import ray
+        import ray
 
-                bf = ray.get(_ref)
-                _WORKER_BLOOMS[_ref.hex()] = bf
-        else:
-            bf = _ref
+        bf = (worker_cached(_ref, lambda: ray.get(_ref))
+              if hasattr(_ref, "hex") else _ref)
         mask = pa.array(bf.probe_many(t[key_column].to_pylist()))
         return t.filter(mask)
 

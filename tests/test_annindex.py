@@ -235,9 +235,12 @@ def test_incremental_equals_one_pass_frozen_coding(ray_session):
 
 
 def test_fts_index_reuse_and_stats(ray_session):
-    """Persisted full-text index: reuse is a no-op; the sentinel bucket
-    carries exact corpus stats (N docs, T tokens)."""
-    import pyarrow.parquet as _pq
+    """Persisted full-text index: reuse is a no-op; stats.json and the
+    per-doc sentinel rows (term "") both carry the exact corpus stats
+    (N docs, T tokens)."""
+    import json
+
+    import pyarrow.dataset as _pads
 
     from agenticknowledgegraphconstructionsystem_ray.pipelines import (
         kg,
@@ -253,16 +256,11 @@ def test_fts_index_reuse_and_stats(ray_session):
     assert kgqueries._ensure_text_index(SF) == root
     assert os.stat(marker).st_mtime_ns == before  # reuse is a no-op
 
-    sent = _pq.read_table(
-        sorted(
-            glob.glob(
-                os.path.join(
-                    root, "postings", f"bkt={kgqueries.FTS_BUCKETS}", "*.parquet"
-                )
-            )
-        ),
-        columns=["url", "dl"],
-    )
+    sent = _pads.dataset(
+        os.path.join(root, "postings"), format="parquet"
+    ).to_table(columns=["url", "dl"], filter=_pads.field("term") == "")
+    with open(os.path.join(root, "stats.json")) as f:
+        stats = json.load(f)
     out = kgqueries._ensure_run(SF)
     want_n, want_t = 0, 0
     for b in kg.text_dataset(out, columns=["text"]).iter_batches(
@@ -271,5 +269,6 @@ def test_fts_index_reuse_and_stats(ray_session):
         for txt in b["text"].to_pylist():
             want_n += 1
             want_t += len(_TOKEN_RE.findall(txt.lower()))
-    assert sent.num_rows == want_n
-    assert sum(sent["dl"].to_pylist()) == want_t
+    assert sent.num_rows == want_n == stats["n_docs"]
+    assert sum(sent["dl"].to_pylist()) == want_t == stats["n_tokens"]
+    assert kgqueries._fts_stats(root) == (want_n, want_t)

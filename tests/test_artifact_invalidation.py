@@ -236,20 +236,6 @@ def _fts_case(tmp_path, monkeypatch):
     )
 
 
-def _fts_compact_case(tmp_path, monkeypatch):
-    from agenticknowledgegraphconstructionsystem_ray.pipelines import kgqueries
-
-    pages, sf_dir = _pages_fixture(tmp_path, monkeypatch)
-    dest = str(tmp_path / "fts_compacted")
-    return (
-        dest,
-        lambda: kgqueries.compact_fts_postings(
-            [kgqueries._ensure_text_index(sf_dir)], dest),
-        lambda: _regen_pages(pages),
-        _postings_content,
-    )
-
-
 def _merge_run_case(tmp_path, monkeypatch):
     from agenticknowledgegraphconstructionsystem_ray.pipelines import kgqueries
 
@@ -274,7 +260,6 @@ CASES = {
     "links": _links_case,
     "link_merge": _link_merge_case,
     "fts": _fts_case,
-    "fts_compact": _fts_compact_case,
     "merge_run": _merge_run_case,
 }
 

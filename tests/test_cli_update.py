@@ -187,56 +187,6 @@ def test_chained_updates_match_cold_rebuild(update_env, tmp_path):
     shutil.rmtree(full_links, ignore_errors=True)
 
 
-def test_fts_compaction_matches_union(update_env, tmp_path):
-    """compact_fts_postings(chain) is query-identical to reading the
-    union of the incremental layouts — the segment-merge step a year of
-    daily increments eventually needs."""
-    from agenticknowledgegraphconstructionsystem_ray.pipelines import kgqueries
-
-    e = update_env
-    roots = [os.path.join(e["out"], "fts_base"),
-             os.path.join(e["out"], "fts_delta")]
-    runs = [e["base_out"], os.path.join(e["out"], "delta_run")]
-    compacted = kgqueries.compact_fts_postings(
-        roots, str(tmp_path / "fts_compacted"))
-
-    q, K = list(kgqueries.KG_SEARCH_QUERY), kgqueries.KG_SEARCH_K
-    got = kgqueries._search_indexed_over(compacted, runs, q, K)
-    want = kgqueries._search_indexed_over(roots, runs, q, K)
-    assert got.equals(want)
-
-    # idempotent reuse: a second call returns without rebuilding
-    marker = os.path.join(compacted, "_DONE")
-    mt = os.stat(marker).st_mtime_ns
-    assert kgqueries.compact_fts_postings(
-        roots, str(tmp_path / "fts_compacted")) == compacted
-    assert os.stat(marker).st_mtime_ns == mt
-    shutil.rmtree(compacted, ignore_errors=True)
-
-
-def test_fts_compaction_survives_deleted_inputs(update_env, tmp_path):
-    """Deleting a compacted chain's input roots (the segment-merge
-    follow-up) must never cost the compacted layout: a repeat call raises
-    before touching dest, and dest still answers queries identically."""
-    from agenticknowledgegraphconstructionsystem_ray.pipelines import kgqueries
-
-    e = update_env
-    roots = []
-    for name in ("fts_base", "fts_delta"):
-        roots.append(str(tmp_path / name))
-        shutil.copytree(os.path.join(e["out"], name), roots[-1])
-    runs = [e["base_out"], os.path.join(e["out"], "delta_run")]
-    dest = kgqueries.compact_fts_postings(roots, str(tmp_path / "compacted"))
-    q, K = list(kgqueries.KG_SEARCH_QUERY), kgqueries.KG_SEARCH_K
-    before = kgqueries._search_indexed_over(dest, runs, q, K)
-
-    for r in roots:
-        shutil.rmtree(r)
-    with pytest.raises(FileNotFoundError):
-        kgqueries.compact_fts_postings(roots, dest)
-    assert kgqueries._search_indexed_over(dest, runs, q, K).equals(before)
-
-
 def test_update_cost_is_delta_bound(update_env):
     """The delta run's extracted chunks cover ONLY the delta pages — the
     base corpus was never re-extracted by the update."""
