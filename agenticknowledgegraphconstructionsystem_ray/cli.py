@@ -235,6 +235,14 @@ def main(argv: list[str] | None = None) -> int:
                 base_runs = json.load(f)
         else:
             base_runs = [args.base_out]
+        fts_manifest = _os.path.join(args.base_out, "_FTS")
+        base_fts = None
+        if _os.path.exists(fts_manifest):
+            with open(fts_manifest) as f:
+                base_fts = json.load(f)
+            if len(base_fts) != len(base_runs):
+                p.error(f"{args.base_out}: _FTS lists {len(base_fts)} "
+                        f"index roots for {len(base_runs)} _RUNS entries")
 
         # 1. delta extract+reduce: phase A scans ONLY the delta pages
         delta_out = _os.path.join(args.out, "delta_run")
@@ -249,14 +257,21 @@ def main(argv: list[str] | None = None) -> int:
             base_runs + [delta_out], args.out))
 
         # 3. FTS: base index roots reused verbatim when the base is a
-        # prior update (zero work); built once otherwise. The delta index
+        # prior update (zero work); built once otherwise. A listed root of
+        # another layout version, or one whose _DONE is gone, is rebuilt
+        # in place from the run at the same index of _RUNS. The delta index
         # comes from the delta run alone; queries read the union
         # (kgqueries._search_indexed_over), equal to a full rebuild.
-        fts_manifest = _os.path.join(args.base_out, "_FTS")
-        if _os.path.exists(fts_manifest):
-            with open(fts_manifest) as f:
-                base_fts = json.load(f)
-            timings["fts_base"] = 0.0
+        if base_fts is not None:
+            from .state.artifacts import read_contract
+
+            def refresh_stale_roots():
+                for run, root in zip(base_runs, base_fts):
+                    contract = read_contract(root) or {}
+                    if contract.get("v") != kgqueries.FTS_VERSION:
+                        kgqueries.build_fts_postings(run, root)
+
+            timed("fts_base", refresh_stale_roots)
         else:
             base_fts = [timed("fts_base", lambda: kgqueries.build_fts_postings(
                 args.base_out, _os.path.join(args.out, "fts_base")))]
@@ -286,11 +301,14 @@ def main(argv: list[str] | None = None) -> int:
         timed("links_merge", lambda: weblinks.merge_link_tables(
             base_links, delta_files, _os.path.join(args.out, "links")))
 
-        # manifests that make THIS out dir usable as the next --base-out
-        with open(_os.path.join(args.out, "_RUNS"), "w") as f:
-            json.dump(base_runs + [delta_out], f)
-        with open(_os.path.join(args.out, "_FTS"), "w") as f:
-            json.dump(list(base_fts) + [fts_delta], f)
+        # manifests that make THIS out dir usable as the next --base-out,
+        # each written whole or not at all (tmp -> os.replace)
+        for name, value in (("_RUNS", base_runs + [delta_out]),
+                            ("_FTS", list(base_fts) + [fts_delta])):
+            path = _os.path.join(args.out, name)
+            with open(path + ".tmp", "w") as f:
+                json.dump(value, f)
+            _os.replace(path + ".tmp", path)
 
         # 5. optional driver-table deltas (ANN coding, MinHash bands)
         if args.sf_dir:

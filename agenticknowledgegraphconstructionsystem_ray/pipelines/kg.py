@@ -33,22 +33,25 @@ overwrite** (reference analog: concept upserts + validation, §3.2-3.4):
     mcount partials -> merge (driver pandas when small; Ray groupby when
       the chunks x vocabulary partial volume is large — auto-selected)
       -> union-find over alias edges -> nodes + id map (broadcast)
-    triples -> map_batches(apply_ids_batch)   [broadcast id map, cached]
-            -> map_batches(validate_edges_batch)  [vectorized rules]
-            -> sort(packed single key)        [the ONE corpus-sized shuffle]
-            -> write_datasink(_IssueSink)     [per write task: the sorted
-                                               block -> edges/<task>.parquet,
-                                               edge_issues_batch on the same
-                                               block -> validation/issues/,
-                                               (severity, rule) counts back]
+    triple files -> P contiguous groups (runtime.file_groups, one per CPU);
+    the driver cuts [0, n_nodes) into P equal-width subject-id ranges
+      -> P map tasks: read a group, apply_ids_batch [broadcast id map],
+         validate_edges_batch, ONE Arrow sort_by, slice at the cuts
+      -> P reduce tasks: range p concatenates its own slices [+ global
+         dedup], sort_by, writes edges/<p>.parquet and runs
+         edge_issues_batch on the same table -> validation/issues/,
+         (severity, rule) counts back
     entity issues (driver, or the open-vocab nodes write tasks) + the
     summed counts -> validation-results.json. edges/ is never read back.
 
 Scale notes: edge dedup happens at source (per page, canonical key known
-from the alias dict), mention counting is pre-aggregated at extraction time,
-so the only corpus-sized all-to-all is the final materialization sort. The
-html column never leaves phase A's first stage. The alias dictionary and the
-id map are broadcast via ``ray.put`` once and fetched once per worker.
+from the alias dict) and mention counting is pre-aggregated at extraction
+time, so the edges need no Ray shuffle: each reduce task receives only the
+slices of its own subject range, never a block that goes to every
+partition. One subject's edges are never split across ranges, so a hot
+subject makes its range large (SCALE.md). The html column never leaves
+phase A's first stage. The alias dictionary and the id map are broadcast
+via ``ray.put`` once and fetched once per worker.
 """
 
 from __future__ import annotations
@@ -67,7 +70,9 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
+from ..runtime import file_groups
 from ..stages.canonicalize import (
+    NODES_SCHEMA,
     apply_ids_batch,
     build_entity_table,
     dedup_edges_batch,
@@ -188,34 +193,6 @@ def plan_chunks(pages_dir: str, chunk_files: int) -> list[list[str]]:
 
 def _records_dir(out: str, cid: int) -> str:
     return os.path.join(out, "extracted", f"chunk={cid:05d}")
-
-
-def _add_sort_key(t: pa.Table) -> pa.Table:
-    """Packed single-column sort key equivalent to the
-    (subj_id, pred, obj_id, url) tuple order (see run_phase_b). Ids are
-    0-padded to 19 digits — the full int64 width — so the bytewise order
-    matches numeric order at ANY id cardinality (8-digit padding silently
-    broke past 100M entities). The only negative id is the -1 unknown
-    sentinel, which pads to a '-'-prefixed key sorting before every
-    0-padded nonnegative id, preserving tuple order.
-
-    The key MUST stay a STRING column: a compact fixed-width binary
-    encoding (8-byte big-endian ids) measured ~10% faster but Ray 2.49's
-    range-partitioned sort silently MIS-SORTS binary keys — the output
-    came back grouped, not globally ordered (caught by
-    test_graph_invariants and the openvocab byte-parity tests; verified
-    with a standalone repro). Do not retry without a sortedness assert."""
-    import pyarrow.compute as pc
-
-    s = pa.string()
-    k = pc.binary_join_element_wise(
-        pc.utf8_lpad(pc.cast(t["subj_id"], s), 19, padding="0"),
-        pc.cast(t["pred"], s),
-        pc.utf8_lpad(pc.cast(t["obj_id"], s), 19, padding="0"),
-        pc.cast(t["url"], s),
-        pa.scalar("\x00", s),
-    )
-    return t.append_column("skey", k)
 
 
 def _cluster_cpus() -> int:
@@ -586,13 +563,6 @@ def mentions_dataset(out_dir: str, columns: list[str] | None = None):
     return rd.read_parquet(files, columns=columns)
 
 
-def triples_dataset(out_dir: str, columns: list[str] | None = None):
-    files = _kind_files(out_dir, "triple")
-    if not files:
-        return None
-    return rd.read_parquet(files, columns=columns)
-
-
 # Above this many mcount partial rows the driver pandas merge is replaced by
 # a distributed Ray groupby (auto mode). The pandas path is bounded by
 # chunks x vocabulary; on open-vocabulary web text that product is the
@@ -658,13 +628,10 @@ SAMPLE_ISSUES = 100  # issue rows kept for validation-results.json
 
 
 class _IssueSink(rd.Datasink):
-    """Write tasks that validate the blocks they persist. Each task writes
-    its block as ``data_dir/<task_idx:06d>.parquet`` (task order is block
-    order, so a sorted dataset's files stay in sort order), runs
-    ``issues_fn`` on the same in-memory block, writes the issue rows as
-    ``issues_dir/<prefix>-<task_idx:06d>.parquet`` (no file when there are
-    none) and returns its row count, its (severity, rule) counts and its
-    first ``sample_rows`` issue rows.
+    """Write tasks that validate the blocks they persist: each task writes
+    its block as ``data_dir/<task_idx:06d>.parquet`` and its
+    ``issues_fn`` rows as ``issues_dir/<prefix>-<task_idx:06d>.parquet``
+    (``_write_checked``); the sink sums the tasks' row and issue counts.
 
     ``issues_fn`` is passed in rather than looked up inside the task, so a
     caller that swaps the kernel (a tracer, a test) is the one that runs."""
@@ -683,26 +650,13 @@ class _IssueSink(rd.Datasink):
 
         tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
         tables = [t for t in tables if t.num_rows]
-        if not tables:
-            return {"task": ctx.task_idx, "rows": 0, "counts": [],
-                    "sample": []}
-        t = pa.concat_tables(tables, promote_options="default")
-        pq.write_table(
-            t, os.path.join(self.data_dir, f"{ctx.task_idx:06d}.parquet"),
-            compression="zstd")
-        issues = self.issues_fn(t)
-        if issues.num_rows:
-            pq.write_table(
-                issues,
-                os.path.join(self.issues_dir,
-                             f"{self.prefix}-{ctx.task_idx:06d}.parquet"),
-                compression="zstd")
-        return {
-            "task": ctx.task_idx,
-            "rows": t.num_rows,
-            "counts": issue_count_batch(issues).to_pylist(),
-            "sample": issues.slice(0, self.sample_rows).to_pylist(),
-        }
+        name = f"{ctx.task_idx:06d}.parquet"
+        return {"task": ctx.task_idx, **_write_checked(
+            pa.concat_tables(tables, promote_options="default")
+            if tables else None,
+            os.path.join(self.data_dir, name), self.issues_fn,
+            os.path.join(self.issues_dir, f"{self.prefix}-{name}"),
+            self.sample_rows)}
 
     def on_write_complete(self, write_result) -> None:
         for r in sorted(write_result.write_returns, key=lambda r: r["task"]):
@@ -712,57 +666,136 @@ class _IssueSink(rd.Datasink):
                 r["sample"][: self.sample_rows - len(self.sample)])
 
 
+def _write_checked(t, path: str, issues_fn, issues_path: str,
+                   sample_rows: int = 0) -> dict:
+    """Write ``t`` (None or empty: nothing) to ``path`` and its
+    ``issues_fn`` rows to ``issues_path`` (no file when there are none);
+    return the row count, the (severity, rule) counts and the first
+    ``sample_rows`` issue rows."""
+    if t is None or not t.num_rows:
+        return {"rows": 0, "counts": [], "sample": []}
+    pq.write_table(t, path, compression="zstd")
+    issues = issues_fn(t)
+    if issues.num_rows:
+        pq.write_table(issues, issues_path, compression="zstd")
+    return {"rows": t.num_rows,
+            "counts": issue_count_batch(issues).to_pylist(),
+            "sample": issues.slice(0, sample_rows).to_pylist()}
+
+
 def _tally(counts: Counter, rows: list[dict]) -> None:
     """Add issue_count_batch rows into a (severity, rule) Counter."""
     for r in rows:
         counts[(r["severity"], r["rule"])] += r["n"]
 
 
-def _finalize_edges(edges: "rd.Dataset", edges_dir: str, issues_tmp: str,
-                    cfg: KGConfig) -> tuple[int, Counter]:
-    """Shared edge materialization: optional global dedup -> vectorized
-    validation -> ONE corpus-sized packed-key sort -> one write operator
-    (an _IssueSink). Each write task writes its sorted block as
-    ``<task_idx:06d>.parquet`` (zstd; file order = sort order), runs
-    edge_issues_batch on the same in-memory block, writes those rows into
-    ``issues_tmp`` and returns its row count and (severity, rule) counts.
-    Returns the edge count and the summed counts. Edges and their issues
-    come from ONE execution: edges/ is never read back, and the issues are
-    neither materialized nor written or counted in a second pass.
+# The edges' file order: every edge file is sorted by this key and holds
+# one subject-id range, the files in range order.
+EDGE_ORDER = [("subj_id", "ascending"), ("pred", "ascending"),
+              ("obj_id", "ascending"), ("url", "ascending")]
+TRIPLE_COLUMNS = ["url", "warc_ts", "subj", "subj_norm", "pred", "obj",
+                  "obj_norm", "confidence", "context"]
 
-    Edge dedup already happened AT SOURCE (the extractor dedups per page on
-    the canonical key, which the alias dict fully determines; url is in the
-    key and each url is extracted exactly once), so no global dedup shuffle
-    is needed by default. For corpora where the same url can recur
-    (re-crawls), cfg.global_edge_dedup adds an exact groupby dedup pass (D4,
-    db_init.py:128) with the same tuple-min representative rule as the
-    per-page and block-level dedups.
 
-    Sort: ONE packed string key instead of a 4-column key — multi-column Ray
-    sort was ~3x slower (measured). See _add_sort_key for the key layout;
-    the invariant test asserts tuple-sortedness of the final parquet.
-    """
-    if cfg.global_edge_dedup:
-        from ..stages.canonicalize import dedup_edges_group
+def subject_cuts(n_nodes: int, n_parts: int) -> list[int]:
+    """First subject id of partitions 1..n_parts-1: ``[0, n_nodes)`` cut
+    into equal-width ranges (ids are the dense rank of canonical names,
+    so width is the only thing the driver needs). The ``-1`` unknown id
+    sorts before every cut, into partition 0."""
+    return [p * n_nodes // n_parts for p in range(1, n_parts)]
 
-        from ..stages.canonicalize import DEDUP_KEYS
 
-        edges = edges.map_batches(dedup_edges_batch, batch_format="pyarrow")
-        edges = edges.groupby(DEDUP_KEYS).map_groups(
-            dedup_edges_group, batch_format="pandas"
-        )
-    edges = edges.map_batches(validate_edges_batch, batch_format="pyarrow")
-    edges = edges.map_batches(_add_sort_key, batch_format="pyarrow")
-    edges = edges.sort("skey").drop_columns(["skey"])
+def partition_edges(t: pa.Table, cuts: list[int]) -> list[pa.Table]:
+    """``t`` sorted by EDGE_ORDER and sliced at the subject-id ``cuts``:
+    ``len(cuts) + 1`` sorted slices, partition ``p`` holding the subjects
+    in ``[cuts[p-1], cuts[p])`` (empty slices where no subject falls)."""
+    import numpy as np
+
+    t = t.sort_by(EDGE_ORDER)
+    at = np.searchsorted(t["subj_id"].to_numpy(), cuts, side="left")
+    bounds = [0, *at.tolist(), t.num_rows]
+    return [t.slice(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def merge_edge_slices(slices: list[pa.Table], dedup: bool) -> pa.Table:
+    """One partition from its sorted slices (one per map task, in task
+    order): concatenated, exactly deduplicated when ``dedup`` (every row
+    of a dedup key shares its subj_id, so one partition holds them all)
+    and sorted by EDGE_ORDER. Arrow's sort is stable, so rows equal on
+    the key keep their input order."""
+    t = pa.concat_tables(slices, promote_options="default")
+    if dedup:
+        t = dedup_edges_batch(t)
+    return t.sort_by(EDGE_ORDER) if dedup or len(slices) > 1 else t
+
+
+@ray.remote
+def _map_edges(src, cuts, validate_fn, apply_fn, id_ref):
+    """Map task: one file group of triple records (ids applied here) or
+    one id-resolved block, validated and cut into sorted range slices.
+    Files are read with ``ParquetFile``: ``pq.read_table`` would load
+    pyarrow's dataset and Acero modules (~40 MB RSS) into the worker."""
+    if apply_fn is not None:
+        src = apply_fn(pa.concat_tables(
+            [pq.ParquetFile(f).read(columns=TRIPLE_COLUMNS) for f in src],
+            promote_options="default"), id_map_ref=id_ref)
+    # an empty block may carry no columns at all: it only pads the slices
+    parts = (partition_edges(validate_fn(src), cuts) if src.num_rows
+             else [src] * (len(cuts) + 1))
+    return parts[0] if len(parts) == 1 else tuple(parts)
+
+
+@ray.remote
+def _reduce_edges(dedup: bool, path: str, issues_fn, issues_path: str,
+                  *slices) -> dict:
+    """Reduce task: one range from its slices, written with its issues."""
+    return _write_checked(merge_edge_slices(list(slices), dedup), path,
+                          issues_fn, issues_path)
+
+
+def _finalize_edges(sources: list, n_parts: int, n_nodes: int,
+                    edges_dir: str, issues_tmp: str, cfg: KGConfig,
+                    id_ref=None) -> tuple[int, Counter]:
+    """Shared edge materialization, with no Ray shuffle. ``sources`` are
+    triple-record file groups whose ids the map tasks apply from the
+    broadcast ``id_ref``, or (``id_ref`` None) refs of id-resolved edge
+    blocks. One map task per source validates it and cuts it into
+    ``n_parts`` sorted subject-id ranges. One reduce task per range merges
+    only its own slices (with the exact dedup, D4 db_init.py:128, when
+    cfg.global_edge_dedup: re-crawled urls), writes them as
+    ``<p:06d>.parquet`` (file order = edge order) and their
+    edge_issues_batch rows into ``issues_tmp`` (``_write_checked``; a Ray
+    Data write measured 0.03 s slower per job). Returns the edge count
+    and the summed (severity, rule) counts. A hot subject's edges all
+    land in one range (SCALE.md)."""
+    cuts = subject_cuts(n_nodes, n_parts)
+    # the kernels are read from this module's attributes here, on the
+    # driver, so a wrapper installed there (the benchmark's span) is the
+    # one the tasks run
+    apply_fn = apply_ids_batch if id_ref is not None else None
+    mapped = [
+        _map_edges.options(num_returns=n_parts).remote(
+            src, cuts, validate_edges_batch, apply_fn, id_ref)
+        for src in sources
+    ]
+    if n_parts == 1:
+        mapped = [[m] for m in mapped]
     tmp = edges_dir + ".tmp"
     mf.clear_stale_tmp(tmp)
     os.makedirs(tmp)
-    # the kernel is read from this module's attribute when the sink is
-    # built, so a wrapper installed there (the benchmark's span) runs
-    sink = _IssueSink(tmp, edge_issues_batch, issues_tmp, "edge")
-    edges.write_datasink(sink)
+    written = ray.get([
+        _reduce_edges.remote(
+            cfg.global_edge_dedup, os.path.join(tmp, f"{p:06d}.parquet"),
+            edge_issues_batch,
+            os.path.join(issues_tmp, f"edge-{p:06d}.parquet"),
+            *(m[p] for m in mapped))
+        for p in range(n_parts)
+    ])
+    counts: Counter = Counter()
+    for w in written:
+        _tally(counts, w["counts"])
     mf.atomic_replace_dir(tmp, edges_dir)
-    return sink.rows, sink.counts
+    return sum(w["rows"] for w in written), counts
 
 
 def run_phase_b(cfg: KGConfig) -> dict:
@@ -847,19 +880,7 @@ def run_phase_b(cfg: KGConfig) -> dict:
         )
 
     if counts_df is None or counts_df.empty:
-        nodes = pa.table(
-            {
-                "entity_id": pa.array([], pa.int64()),
-                "canonical_name": pa.array([], pa.string()),
-                "ent_type": pa.array([], pa.string()),
-                "mention_count": pa.array([], pa.int64()),
-                "link_count": pa.array([], pa.int64()),
-                "perfect_links": pa.array([], pa.int64()),
-                "max_score": pa.array([], pa.float64()),
-                "min_score": pa.array([], pa.float64()),
-                "aliases": pa.array([], pa.list_(pa.string())),
-            }
-        )
+        nodes = NODES_SCHEMA.empty_table()
         id_map: dict[str, tuple[int, str]] = {}
     else:
         nodes, id_map = build_entity_table(counts_df, alias)
@@ -871,7 +892,7 @@ def run_phase_b(cfg: KGConfig) -> dict:
 
     # ---- validation report (S8 analog) ----
     # Entity issues are vocabulary-sized (driver); relationship issues are
-    # corpus-sized -> written by the edge sort's own write tasks (see
+    # corpus-sized -> written by the edge write tasks (see
     # _finalize_edges), with only (severity, rule) counts reduced to the
     # driver for the JSON summary.
     issues_dir = os.path.join(out, "validation", "issues")
@@ -880,30 +901,15 @@ def run_phase_b(cfg: KGConfig) -> dict:
     os.makedirs(tmpi, exist_ok=True)
     by_rule_sev: Counter = Counter()
 
-    # ---- SHUFFLE 2: edges dedup + validation + sort ----
-    triples = triples_dataset(
-        src_dirs,
-        columns=[
-            "url", "warc_ts", "subj", "subj_norm", "pred",
-            "obj", "obj_norm", "confidence", "context",
-        ],
-    )
+    # ---- edges: id-apply + validation + range-partitioned sort ----
+    triple_files = _kind_files(src_dirs, "triple")
     edges_dir = os.path.join(out, "edges")
     n_edges = 0
-    if triples is not None:
-        id_ref = ray.put(id_map)
-        edges = triples.map_batches(
-            apply_ids_batch,
-            fn_kwargs={"id_map_ref": id_ref},
-            batch_format="pyarrow",
-        )
-        # Edge dedup already happened AT SOURCE (TripleExtractor dedups per
-        # page on the canonical key, which the alias dict fully determines;
-        # url is in the key and each url is extracted exactly once), so no
-        # global dedup shuffle is needed. For corpora where the same url can
-        # recur (re-crawls), cfg.global_edge_dedup adds an exact groupby
-        # dedup pass (D4, db_init.py:128).
-        n_edges, edge_counts = _finalize_edges(edges, edges_dir, tmpi, cfg)
+    if triple_files:
+        groups = file_groups(triple_files)
+        n_edges, edge_counts = _finalize_edges(
+            groups, len(groups), nodes.num_rows, edges_dir, tmpi, cfg,
+            id_ref=ray.put(id_map))
         by_rule_sev.update(edge_counts)
         _mark("edges_s", _since)
     else:
@@ -916,20 +922,8 @@ def run_phase_b(cfg: KGConfig) -> dict:
     mf.atomic_replace_dir(tmpi, issues_dir)
     _mark("issues_s", _since)
 
-    summary = summarize_issues(by_rule_sev, nodes.num_rows, n_edges)
-    report = {"summary": summary, "issues_sample": sample}
-    report_path = os.path.join(out, "validation-results.json")
-    with open(report_path + ".tmp", "w") as f:
-        json.dump(report, f, sort_keys=True, default=str)
-    os.replace(report_path + ".tmp", report_path)
-
-    return {
-        "n_nodes": nodes.num_rows,
-        "n_edges": n_edges,
-        "n_issues": summary["total_issues"],
-        "phase_b_wall_s": round(time.perf_counter() - t0, 3),
-        "phase_b_timings": timings,
-    }
+    return _report(out, by_rule_sev, sample, nodes.num_rows, n_edges,
+                   t0, timings)
 
 
 def run_phase_b_openvocab(cfg: KGConfig) -> dict:
@@ -969,8 +963,6 @@ def run_phase_b_openvocab(cfg: KGConfig) -> dict:
             if mentions is not None
             else None
         )
-
-    from ..stages.canonicalize import NODES_SCHEMA
 
     # ---- validation report: entity issues distributed too, each written
     # by the write task that persists its nodes block (same _IssueSink as
@@ -1014,20 +1006,16 @@ def run_phase_b_openvocab(cfg: KGConfig) -> dict:
         )
     _mark("counts_unionfind_s", _since)
 
-    triples = triples_dataset(
-        src_dirs,
-        columns=[
-            "url", "warc_ts", "subj", "subj_norm", "pred",
-            "obj", "obj_norm", "confidence", "context",
-        ],
-    )
+    triple_files = _kind_files(src_dirs, "triple")
     edges_dir = os.path.join(out, "edges")
     n_edges = 0
-    if triples is not None and mapping_ds is not None:
+    if triple_files and mapping_ds is not None:
         edges = apply_ids_hybrid(
-            triples, mapping_ds, ov.hot_map, ov.hot_total
-        )
-        n_edges, edge_counts = _finalize_edges(edges, edges_dir, tmpi, cfg)
+            rd.read_parquet(triple_files, columns=TRIPLE_COLUMNS),
+            mapping_ds, ov.hot_map, ov.hot_total)
+        n_edges, edge_counts = _finalize_edges(
+            edges.to_arrow_refs(), len(file_groups(triple_files)), n_nodes,
+            edges_dir, tmpi, cfg)
         by_rule_sev.update(edge_counts)
         _mark("edges_s", _since)
     else:
@@ -1035,13 +1023,19 @@ def run_phase_b_openvocab(cfg: KGConfig) -> dict:
     mf.atomic_replace_dir(tmpi, issues_dir)
     _mark("issues_s", _since)
 
+    return _report(out, by_rule_sev, sample, n_nodes, n_edges, t0, timings)
+
+
+def _report(out: str, by_rule_sev: Counter, sample: list, n_nodes: int,
+            n_edges: int, t0: float, timings: dict) -> dict:
+    """Write validation-results.json (summary + issue sample) and return
+    phase B's metrics."""
     summary = summarize_issues(by_rule_sev, n_nodes, n_edges)
-    report = {"summary": summary, "issues_sample": sample}
     report_path = os.path.join(out, "validation-results.json")
     with open(report_path + ".tmp", "w") as f:
-        json.dump(report, f, sort_keys=True, default=str)
+        json.dump({"summary": summary, "issues_sample": sample}, f,
+                  sort_keys=True, default=str)
     os.replace(report_path + ".tmp", report_path)
-
     return {
         "n_nodes": n_nodes,
         "n_edges": n_edges,

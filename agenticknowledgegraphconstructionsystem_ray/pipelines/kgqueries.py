@@ -17,6 +17,7 @@ import re
 import ray.data as rd
 
 from .. import synth
+from ..runtime import file_groups
 from ..state.artifacts import (
     cache_root,
     ensure_artifact,
@@ -838,26 +839,6 @@ def _ensure_text_index(sf_dir: str) -> str:
     return build_fts_postings(_ensure_run(sf_dir), fts_root(sf_dir))
 
 
-def _fts_segments(pages: list) -> list:
-    """The page-record files split into the build's segments, one task
-    and one output file each: one segment per cluster CPU (never more
-    than files), raised only when the files' uncompressed bytes (from
-    their footers) per segment would exceed Ray's target block size."""
-    import pyarrow.parquet as pq
-    from ray.data import DataContext
-
-    from ..runtime import cluster_cpus
-
-    n_bytes = sum(
-        md.row_group(g).total_byte_size
-        for md in map(pq.read_metadata, pages)
-        for g in range(md.num_row_groups)
-    )
-    target = DataContext.get_current().target_max_block_size
-    n = min(len(pages), max(cluster_cpus(), -(-n_bytes // target)))
-    return [pages[i::n] for i in range(n)]
-
-
 def build_fts_postings(run_dirs, root: str) -> str:
     """Marker-guarded build of the postings layout from one (or several)
     completed runs' extracted-text artifacts. Delta-friendly by design:
@@ -937,7 +918,7 @@ def build_fts_postings(run_dirs, root: str) -> str:
         ).sort_by([("term", "ascending"), ("url", "ascending")])
 
     def build(tmp: str) -> None:
-        tasks = [{"files": g} for g in _fts_segments(pages)]
+        tasks = [{"files": g} for g in file_groups(pages)]
         postings = os.path.join(tmp, "postings")
         rd.from_items(tasks, override_num_blocks=len(tasks)).map_batches(
             segment, batch_size=1, batch_format="pyarrow",
@@ -1166,6 +1147,10 @@ def _search_indexed_over(roots, run_dirs, qterms: list, K: int):
     ).iter_batches(batch_format="pyarrow", batch_size=None):
         for term, n in zip(b["term"].to_pylist(), b["n_p"].to_pylist()):
             df[term] += n
+    if 0 in df.values():
+        # an AND with a term in no document matches nothing: no groupby,
+        # no enrichment scan
+        return _kg_search_enrich(out, [])
     idf = [
         len(str((2 * N + 1) // (2 * df[t] + 1))) for t in qterms
     ]
@@ -1344,9 +1329,11 @@ def _kg_search_enrich(out: str, top: list) -> "pa.Table":
     ments = kg.mentions_dataset(out, columns=["url", "norm_surface", "n_in_page"])
     n_ent: dict[str, int] = {}
     n_men: dict[str, int] = {}
-    for b in ments.map_batches(entity_partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow", batch_size=None
-    ):
+    # no hits, no scan: an empty answer runs no Ray execution
+    batches = ments.map_batches(
+        entity_partial, batch_format="pyarrow"
+    ).iter_batches(batch_format="pyarrow", batch_size=None) if top else []
+    for b in batches:
         for u, n, nm in zip(
             b["url"].to_pylist(), b["n_p"].to_pylist(), b["nm_p"].to_pylist()
         ):

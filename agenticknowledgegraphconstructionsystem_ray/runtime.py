@@ -17,6 +17,26 @@ def cluster_cpus(default: int = 8) -> int:
         return default
 
 
+def file_groups(files: list) -> list:
+    """``files`` split into contiguous groups, one task each: one group per
+    cluster CPU (never more groups than files), raised only when the
+    files' uncompressed bytes (from their footers) per group would exceed
+    Ray's target block size. Contiguous, so concatenating the groups'
+    outputs in group order keeps the files' order."""
+    import pyarrow.parquet as pq
+    from ray.data import DataContext
+
+    n_bytes = sum(
+        md.row_group(g).total_byte_size
+        for md in map(pq.read_metadata, files)
+        for g in range(md.num_row_groups)
+    )
+    target = DataContext.get_current().target_max_block_size
+    n = min(len(files), max(cluster_cpus(), -(-n_bytes // target)))
+    cut = [len(files) * i // n for i in range(n + 1)]
+    return [files[a:b] for a, b in zip(cut, cut[1:])]
+
+
 _WORKER_CACHES: dict = {}
 
 

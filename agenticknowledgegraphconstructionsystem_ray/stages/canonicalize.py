@@ -462,44 +462,26 @@ DEDUP_TIEBREAK = ["confidence", "context", "warc_ts"]
 
 
 def dedup_edges_batch(batch: pa.Table) -> pa.Table:
-    """Block-level exact-dedup combiner on (subj_id, pred, obj_id, url):
-    keeps the row with the smallest (confidence, context, subj, obj, warc_ts)
-    TUPLE — the same representative rule as the per-page dedup in
+    """Exact dedup on (subj_id, pred, obj_id, url) plus the carried names:
+    keeps the row with the smallest (confidence, context, warc_ts) TUPLE —
+    the same representative rule as the per-page dedup in
     stages/triples.py, so the two dedup paths agree on surviving row
     contents (independent per-column mins could stitch fields from different
     source rows). Sort-then-ordered-first; pyarrow 'first' with
-    use_threads=False preserves encounter order. Reference analog:
+    use_threads=False preserves encounter order, so every non-key column
+    (the validation flags too) comes from that one row and the output keeps
+    the input's columns in their order. Reference analog:
     UNIQUE(source, target, type) upsert-DO-NOTHING (``db_init.py:128``,
     ``database.ts:264-289``)."""
-    import pyarrow.compute as _pc
-
     batch = batch.sort_by(
         [(c, "ascending") for c in DEDUP_KEYS + DEDUP_TIEBREAK]
     )
+    rest = [c for c in batch.column_names if c not in DEDUP_KEYS]
     g = batch.group_by(DEDUP_KEYS, use_threads=False).aggregate(
-        [(c, "first") for c in DEDUP_TIEBREAK]
+        [(c, "first") for c in rest]
     )
     return pa.Table.from_arrays(
-        [
-            g.column("subj_id"),
-            g.column("pred"),
-            g.column("obj_id"),
-            g.column("subj"),
-            g.column("obj"),
-            g.column("url"),
-            g.column("warc_ts_first"),
-            g.column("confidence_first"),
-            g.column("context_first"),
-        ],
-        names=[
-            "subj_id", "pred", "obj_id", "subj", "obj",
-            "url", "warc_ts", "confidence", "context",
-        ],
+        [g.column(c if c in DEDUP_KEYS else f"{c}_first")
+         for c in batch.column_names],
+        names=batch.column_names,
     )
-
-
-def dedup_edges_group(g):
-    """Global-dedup reducer for ``groupby(DEDUP_KEYS).map_groups``: same
-    tuple-min representative rule as :func:`dedup_edges_batch` (one pandas
-    group = one dedup key)."""
-    return g.sort_values(DEDUP_TIEBREAK, kind="mergesort").head(1)

@@ -829,6 +829,12 @@ def run_skew() -> dict:
     counts = sorted(nodes["mention_count"].to_pylist(), reverse=True)
     bounds["top_node_mention_share"] = round(counts[0] / sum(counts), 3)
     bounds["n_edges"] = res["n_edges"]
+    # one edges file per subject-id range; a hot subject never splits
+    edge_rows = [pq.read_metadata(f).num_rows for f in sorted(
+        glob.glob(os.path.join(out_dir, "edges", "*.parquet")))]
+    bounds["edge_partitions"] = len(edge_rows)
+    bounds["edge_partition_max_share"] = round(
+        max(edge_rows) / max(1, sum(edge_rows)), 3)
 
     # 2. link table under the 50% hub host
     links_root = "/tmp/agkg_skew_links"

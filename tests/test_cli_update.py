@@ -265,3 +265,56 @@ def test_update_rejects_global_edge_dedup(update_env, tmp_path, capsys):
     assert exc.value.code == 2
     assert "disjoint urls" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_chain_with_a_stale_base_root_still_answers_queries(update_env,
+                                                          tmp_path):
+    """A chain whose base FTS root is stamped with an older layout (v4),
+    and whose delta root lost its _DONE, still answers queries after the
+    next update: cli update rebuilds both roots in place from the runs
+    at the same _RUNS index, and writes its manifests whole."""
+    import json
+
+    from agenticknowledgegraphconstructionsystem_ray.cli import main as cli_main
+    from agenticknowledgegraphconstructionsystem_ray.pipelines import kgqueries
+
+    e = update_env
+    dirs = {}
+    for name, part in (("d1", e["files"][4:5]), ("d2", e["files"][5:])):
+        d = tmp_path / f"pages_{name}"
+        d.mkdir()
+        for f in part:
+            os.symlink(f, d / os.path.basename(f))
+        dirs[name] = str(d)
+    u1, u2 = str(tmp_path / "u1"), str(tmp_path / "u2")
+    assert cli_main([
+        "update", "--base-pages", e["base_pages"], "--base-out",
+        e["base_out"], "--delta-pages", dirs["d1"], "--out", u1,
+        "--chunk-files", "2",
+    ]) == 0
+    with open(os.path.join(u1, "_FTS")) as f:
+        base_root, delta_root = json.load(f)
+    done = os.path.join(base_root, "_DONE")
+    with open(done) as f:
+        contract = json.load(f)
+    with open(done, "w") as f:
+        json.dump({**contract, "v": 4}, f)
+    os.remove(os.path.join(delta_root, "_DONE"))
+
+    assert cli_main([
+        "update", "--base-out", u1, "--delta-pages", dirs["d2"],
+        "--out", u2, "--chunk-files", "2",
+    ]) == 0
+    assert sorted(n for n in os.listdir(u2) if n.endswith(".tmp")) == []
+    with open(os.path.join(u2, "_FTS")) as f:
+        roots = json.load(f)
+    with open(os.path.join(u2, "_RUNS")) as f:
+        runs = json.load(f)
+    assert roots[:2] == [base_root, delta_root]
+    q, K = list(kgqueries.KG_SEARCH_QUERY), kgqueries.KG_SEARCH_K
+    full_root = kgqueries.build_fts_postings(
+        e["full_out"], str(tmp_path / "fts_full_stale"))
+    got = kgqueries._search_indexed_over(roots, runs, q, K)
+    want = kgqueries._search_indexed_over(full_root, e["full_out"], q, K)
+    assert got.num_rows and got.equals(want)
+    shutil.rmtree(full_root, ignore_errors=True)

@@ -137,14 +137,13 @@ def test_check_layout_refuses_foreign_dir(tmp_path, small_pages):
 def test_global_dedup_keeps_distinct_unknown_entities(tmp_path, ray_session):
     """Two triples on one url whose subjects are DISTINCT unknown surfaces
     (both id -1) must both survive global_edge_dedup — the dedup key
-    includes the carried names, not just the -1 sentinel ids."""
+    includes the carried names, not just the -1 sentinel ids — both in
+    one batch and in the edge reduce that merges two map tasks' slices."""
     import pyarrow as pa
-    import ray.data as rd
 
+    from agenticknowledgegraphconstructionsystem_ray.pipelines import kg
     from agenticknowledgegraphconstructionsystem_ray.stages.canonicalize import (
-        DEDUP_KEYS,
         dedup_edges_batch,
-        dedup_edges_group,
     )
 
     edges = pa.table(
@@ -162,9 +161,6 @@ def test_global_dedup_keeps_distinct_unknown_entities(tmp_path, ray_session):
     )
     out = dedup_edges_batch(edges)
     assert out.num_rows == 2
-    deduped = (
-        rd.from_arrow(out)
-        .groupby(DEDUP_KEYS)
-        .map_groups(dedup_edges_group, batch_format="pandas")
-    )
-    assert deduped.count() == 2
+    cuts = kg.subject_cuts(8, 3)
+    slices = [kg.partition_edges(edges.slice(i, 1), cuts)[0] for i in (0, 1)]
+    assert kg.merge_edge_slices(slices, dedup=True).num_rows == 2

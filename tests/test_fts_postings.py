@@ -159,3 +159,27 @@ def test_query_rejects_a_root_of_another_layout(ray_session, tmp_path):
     os.remove(tmp_path / "fts" / "_DONE")
     with pytest.raises(FileNotFoundError, match="_DONE"):
         kgqueries._fts_files(root)
+
+
+def test_and_query_with_a_zero_df_term_stops_after_the_df_pass(
+        ray_session, tmp_path, monkeypatch):
+    """An AND query with a term in no document returns the empty result
+    right after the df pass: no url groupby, no top-k collection, no
+    enrichment scan — the same (empty, typed) answer as before."""
+    docs = [[(f"https://h.example/{i}/{j}", f"cat sat {i} mat {j}")
+             for j in range(5)] for i in range(3)]
+    run = _fake_run(str(tmp_path / "run"), docs)
+    root = kgqueries.build_fts_postings(run, str(tmp_path / "fts"))
+    calls = []
+    for name in ("groupby", "take_all", "iter_batches"):
+        def spy(self, *a, _name=name, _orig=getattr(rd.Dataset, name), **k):
+            calls.append(_name)
+            return _orig(self, *a, **k)
+
+        monkeypatch.setattr(rd.Dataset, name, spy)
+    got = kgqueries._search_indexed_over(root, run, ["cat", "zzqxnone"], 5)
+    assert calls == ["iter_batches"]  # the df pass only
+    assert got.num_rows == 0
+    assert got.schema == pa.schema([
+        ("url", pa.string()), ("bm25_ppm", pa.int64()),
+        ("n_entities", pa.int64()), ("n_mentions", pa.int64())])

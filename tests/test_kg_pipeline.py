@@ -77,8 +77,18 @@ def test_graph_invariants(kg_out):
             assert s != o
     # entity ids resolve (no unmapped -1)
     assert all(s >= 0 for s in d["subj_id"]) and all(o >= 0 for o in d["obj_id"])
-    # edges sorted by (subj_id, pred, obj_id, url)
+    # edges sorted by (subj_id, pred, obj_id, url), over the files in file
+    # order; each file is one subject-id range, so no subject spans files
     assert keys == sorted(keys)
+    ranges = [
+        (min(ids), max(ids))
+        for ids in (pq.read_table(f, columns=["subj_id"])["subj_id"]
+                    .to_pylist()
+                    for f in sorted(glob.glob(os.path.join(out, "edges",
+                                                           "*.parquet"))))
+    ]
+    assert ranges and all(hi < lo for (_, hi), (lo, _) in zip(ranges,
+                                                               ranges[1:]))
 
     n = _read(out, "nodes/*.parquet").to_pydict()
     assert n["entity_id"] == sorted(n["entity_id"])

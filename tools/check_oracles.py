@@ -8,11 +8,17 @@ Comparison kernel: agenticknowledgegraphconstructionsystem_ray.arrowcmp
 pandas object compare hides type drift like DuckDB SUM(BIGINT) ->
 decimal128(38,0) vs Ray int64, which the driver's value-hash DOES fail on).
 
-Usage: python tools/check_oracles.py [sf_dir] [query ...]
+Usage: python tools/check_oracles.py [--progress PATH] [sf_dir] [query ...]
+
+``--progress PATH`` makes a run resumable: each query that passes is
+appended to PATH as it passes, and a rerun with the same PATH skips the
+names already there (counting them as passed), so a driver that Ray
+aborts mid-run loses only the query it was on.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 import time
@@ -26,11 +32,28 @@ from agenticknowledgegraphconstructionsystem_ray.arrowcmp import (  # noqa: E402
     diff_report,
     to_arrow,
 )
+from agenticknowledgegraphconstructionsystem_ray.goldens import (  # noqa: E402
+    DRIVER_SF_DIR,
+)
 
 
-def main() -> int:
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-    only = set(sys.argv[2:])
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("sf_dir", nargs="?", default=DRIVER_SF_DIR)
+    ap.add_argument("queries", nargs="*")
+    ap.add_argument("--progress", metavar="PATH",
+                    help="record passed queries here; skip them on a rerun")
+    args = ap.parse_args(argv)
+    sf_dir, only = args.sf_dir, set(args.queries)
+    passed: set[str] = set()
+    if args.progress and os.path.exists(args.progress):
+        with open(args.progress) as f:
+            passed = {line.strip() for line in f if line.strip()}
+
+    def record(name: str) -> None:
+        if args.progress:
+            with open(args.progress, "a") as f:
+                f.write(name + "\n")
 
     import ray
 
@@ -68,6 +91,9 @@ def main() -> int:
         if only and name not in only:
             continue
         n_checked += 1
+        if name in passed:
+            print(f"ok   {name}: passed in {args.progress} (skipped)")
+            continue
         t0 = time.perf_counter()
         try:
             mine = canon(to_arrow(fn(sf_dir)))
@@ -81,9 +107,11 @@ def main() -> int:
         ).endswith("sf0.01"):
             # golden-file oracles are pinned to sf0.01 (the driver's
             # correctness scale); at other scales treat as rows-only
+            record(name)
             print(f"ok   {name}: rows={mine.num_rows} (golden pinned to sf0.01; rows-only here) [{wall:.2f}s]")
             continue
         if name not in oracles:
+            record(name)
             print(f"ok   {name}: rows={mine.num_rows} (no SQL oracle; rows-only) [{wall:.2f}s]")
             continue
         try:
@@ -107,6 +135,7 @@ def main() -> int:
             for m in msgs[:4]:
                 print(m)
         else:
+            record(name)
             print(f"ok   {name}: rows={mine.num_rows} exact match [{wall:.2f}s]")
 
     print(f"\n{n_checked - len(failures)}/{n_checked} queries ok")
