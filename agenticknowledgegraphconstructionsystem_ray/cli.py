@@ -69,7 +69,6 @@ def main(argv: list[str] | None = None) -> int:
     sm.add_argument("--runs", required=True,
                     help="comma list of completed run out-dirs")
     sm.add_argument("--out", required=True)
-    sm.add_argument("--open-vocab", action="store_true")
     sm.add_argument("--global-edge-dedup", action="store_true",
                     help="required when the merged runs share urls (re-crawl)")
 
@@ -137,7 +136,6 @@ def main(argv: list[str] | None = None) -> int:
         res = kg.merge_runs(
             [d.strip() for d in args.runs.split(",") if d.strip()],
             args.out,
-            open_vocab=args.open_vocab,
             global_edge_dedup=args.global_edge_dedup,
         )
         print(json.dumps(res))

@@ -30,19 +30,25 @@ is an expensive model load rather than a broadcast dict.
 **Phase B — global canonicalization + materialization, idempotent
 overwrite** (reference analog: concept upserts + validation, §3.2-3.4):
 
-    mcount partials -> merge (driver pandas when small; Ray groupby when
-      the chunks x vocabulary partial volume is large — auto-selected)
-      -> union-find over alias edges -> nodes + id map (broadcast)
+    mcount partial rows, summed from the parquet footers, choose the path:
+      <= DRIVER_MCOUNT_MAX_ROWS: ONE Arrow group_by on the driver
+        -> union-find over every surface -> nodes + id map (broadcast);
+        entity issues on the driver
+      >  DRIVER_MCOUNT_MAX_ROWS: Ray groupby -> pipelines/openvocab.py
+        (union-find over alias-relevant surfaces only, singleton nodes and
+        ids distributed, one write task per nodes block with its entity
+        issues) -> edge ids from a hot map + lookup join (apply_ids_hybrid)
     triple files -> P contiguous groups (runtime.file_groups, one per CPU);
     the driver cuts [0, n_nodes) into P equal-width subject-id ranges
-      -> P map tasks: read a group, apply_ids_batch [broadcast id map],
-         validate_edges_batch, ONE Arrow sort_by, slice at the cuts
+      -> P map tasks: read a group and apply_ids_batch [broadcast id map]
+         (or take one id-resolved block), validate_edges_batch, ONE Arrow
+         sort_by, slice at the cuts
       -> P reduce tasks: range p concatenates its own slices [+ global
          dedup], sort_by, writes edges/<p>.parquet and runs
          edge_issues_batch on the same table -> validation/issues/,
          (severity, rule) counts back
-    entity issues (driver, or the open-vocab nodes write tasks) + the
-    summed counts -> validation-results.json. edges/ is never read back.
+    the summed counts + an entity-issue sample -> validation-results.json.
+    edges/ is never read back.
 
 Scale notes: edge dedup happens at source (per page, canonical key known
 from the alias dict) and mention counting is pre-aggregated at extraction
@@ -70,16 +76,19 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..runtime import file_groups
+from ..runtime import cluster_cpus, file_groups
 from ..stages.canonicalize import (
-    NODES_SCHEMA,
     apply_ids_batch,
     build_entity_table,
     dedup_edges_batch,
-    partial_mention_counts,
 )
 from ..stages.extract import extract_text_batch
-from ..stages.triples import TripleExtractor, extract_records_batch
+from ..stages.triples import (
+    MCOUNT_COLUMNS,
+    RECORD_SCHEMA,
+    TripleExtractor,
+    extract_records_batch,
+)
 from ..stages.validate import (
     edge_issues_batch,
     issue_count_batch,
@@ -89,6 +98,7 @@ from ..stages.validate import (
 )
 from ..state import manifest as mf
 from .. import synth
+from .openvocab import apply_ids_hybrid, build_nodes_openvocab
 
 
 @dataclass
@@ -118,30 +128,6 @@ class KGConfig:
                                      # with the broadcast dict cached per
                                      # worker process (faster when state is
                                      # just the object-store alias dict)
-    distributed_counts: bool | None = None  # phase-B mention-count merge:
-                                     # None = auto (Ray groupby when the
-                                     # mcount partial rows exceed
-                                     # PANDAS_MCOUNT_MAX_ROWS — the
-                                     # open-vocabulary web-text case — else
-                                     # driver pandas merge); True/False
-                                     # force a path
-    open_vocab: bool = False         # True = fully open-vocabulary phase B
-                                     # (pipelines/openvocab.py): only
-                                     # alias-relevant surfaces reach the
-                                     # driver; singleton nodes, id
-                                     # assignment and edge id application
-                                     # all run distributed (join, not
-                                     # broadcast map). Same outputs as the
-                                     # default path (tests assert parity);
-                                     # use for corpora whose surface
-                                     # vocabulary does not fit one heap
-    hot_map_cap: int = 100_000       # open-vocab only: broadcast the top-K
-                                     # nodes by mention_count as a FIXED-size
-                                     # hot map; triple rows whose norms all
-                                     # hit it resolve without a shuffle (the
-                                     # Zipf head = the bulk of occurrences),
-                                     # only tail rows pay the lookup join.
-                                     # 0 disables (pure join path)
     record_dirs: tuple[str, ...] | None = None  # phase-B record sources:
                                      # None = this run's own extracted dir;
                                      # a tuple = the UNION of several runs'
@@ -193,12 +179,6 @@ def plan_chunks(pages_dir: str, chunk_files: int) -> list[list[str]]:
 
 def _records_dir(out: str, cid: int) -> str:
     return os.path.join(out, "extracted", f"chunk={cid:05d}")
-
-
-def _cluster_cpus() -> int:
-    from ..runtime import cluster_cpus
-
-    return cluster_cpus()
 
 
 LAYOUT_VERSION = "7"  # v7: synth v4 corpus (lowercase anchor text)
@@ -372,7 +352,7 @@ def run_phase_a(cfg: KGConfig) -> dict:
         pending = pending[: cfg.max_chunks]
 
     alias_ref = ray.put(cfg.alias_dict())
-    cpus = _cluster_cpus()
+    cpus = cluster_cpus()
     # Only used when cfg.use_actor_pool: a fixed-size pool (autoscaling from
     # a small min never ramps up within short runs) that leaves CPUs for the
     # read/write stages — a pool reserving every CPU starves the rest of the
@@ -563,107 +543,58 @@ def mentions_dataset(out_dir: str, columns: list[str] | None = None):
     return rd.read_parquet(files, columns=columns)
 
 
-# Above this many mcount partial rows the driver pandas merge is replaced by
-# a distributed Ray groupby (auto mode). The pandas path is bounded by
-# chunks x vocabulary; on open-vocabulary web text that product is the
-# phase-B scale killer, while the groupby's OUTPUT stays vocabulary-sized.
-PANDAS_MCOUNT_MAX_ROWS = 2_000_000
+# Phase B's path gate: at most this many mcount partial rows (summed from
+# the parquet footers) are merged on the driver, whose union-find then runs
+# over every distinct surface; above it the counts, the nodes and the edge
+# id application stay distributed (pipelines/openvocab.py). The partial
+# rows grow with chunks x vocabulary; on open-vocabulary web text that
+# product is the phase-B scale killer.
+DRIVER_MCOUNT_MAX_ROWS = 2_000_000
+
+# The merged counts of one norm_surface: (mcount record column, aggregation,
+# output column); MCOUNT_COLUMNS (stages/triples.py) says what each record
+# column holds on an mcount row.
+_COUNT_AGGS = [
+    ("n_in_page", "sum", "mention_count"),
+    ("span_start", "sum", "link_count"),
+    ("span_end", "sum", "perfect_links"),
+    ("score", "max", "max_score"),
+    ("confidence", "min", "min_score"),
+]
 
 
-def _merge_partials_ds(partials_ds: rd.Dataset) -> rd.Dataset:
-    """Distributed merge of (norm_surface, mentions_p, links_p, perfect_p,
-    max_score_p, min_score_p) partial rows -> one row per surface."""
-    from ray.data.aggregate import Max as RMax
-    from ray.data.aggregate import Min as RMin
-    from ray.data.aggregate import Sum as RSum
+def merge_mcounts(partials: pa.Table) -> pa.Table:
+    """mcount partial rows -> the merged counts, one row per norm_surface
+    (ONE Arrow group_by), sorted by norm_surface: union-find roots depend
+    on row order."""
+    g = partials.group_by("norm_surface").aggregate(
+        [(col, op) for col, op, _ in _COUNT_AGGS])
+    return pa.Table.from_arrays(
+        [g["norm_surface"], *(g[f"{col}_{op}"] for col, op, _ in _COUNT_AGGS)],
+        names=["norm_surface", *(name for *_, name in _COUNT_AGGS)],
+    ).sort_by("norm_surface")
 
-    return partials_ds.groupby("norm_surface").aggregate(
-        RSum("mentions_p", alias_name="mention_count"),
-        RSum("links_p", alias_name="link_count"),
-        RSum("perfect_p", alias_name="perfect_links"),
-        RMax("max_score_p", alias_name="max_score"),
-        RMin("min_score_p", alias_name="min_score"),
-    )
+
+def _driver_counts(mcount_files: list[str]) -> pa.Table:
+    """The merged counts of every partial, on the driver."""
+    return merge_mcounts(pa.concat_tables(
+        [pq.read_table(f, columns=list(MCOUNT_COLUMNS)) for f in mcount_files]
+        or [RECORD_SCHEMA.empty_table().select(list(MCOUNT_COLUMNS))]))
 
 
 def _distributed_counts_ds(mcount_files: list[str]) -> rd.Dataset:
-    """Ray-groupby merge of mention-count partials as a DATASET: reads the
-    (chunks x vocabulary)-sized partial rows distributed and reduces them to
-    one row per norm_surface."""
-    import pyarrow.compute as pc
+    """The merged counts as a DATASET: the partial rows read distributed
+    and reduced by a Ray groupby to one row per norm_surface."""
+    from ray.data import aggregate as agg
 
-    ds = rd.read_parquet(
-        mcount_files,
-        columns=["norm_surface", "n_in_page", "span_start", "span_end",
-                 "score", "confidence"],
-    )
-
-    def rename(t: pa.Table) -> pa.Table:
-        # MCOUNT_COLUMNS mapping (stages/triples.py): the partials reuse
-        # record columns
-        return pa.table(
-            {
-                "norm_surface": t["norm_surface"],
-                "mentions_p": pc.cast(t["n_in_page"], pa.int64()),
-                "links_p": pc.cast(t["span_start"], pa.int64()),
-                "perfect_p": pc.cast(t["span_end"], pa.int64()),
-                "max_score_p": t["score"],
-                "min_score_p": t["confidence"],
-            }
-        )
-
-    return _merge_partials_ds(ds.map_batches(rename, batch_format="pyarrow"))
-
-
-def _distributed_counts(mcount_files: list[str]):
-    """As above but reduced to a driver DataFrame (the closed-vocabulary
-    case, where the merged output is dimension-bounded)."""
-    df = _distributed_counts_ds(mcount_files).to_pandas()
-    if df.empty or "norm_surface" not in df.columns:
-        return None  # empty partials (e.g. all pages lang-filtered)
-    return df.sort_values("norm_surface", kind="mergesort").reset_index(drop=True)
+    ops = {"sum": agg.Sum, "max": agg.Max, "min": agg.Min}
+    return rd.read_parquet(
+        mcount_files, columns=list(MCOUNT_COLUMNS)
+    ).groupby("norm_surface").aggregate(
+        *(ops[op](col, alias_name=name) for col, op, name in _COUNT_AGGS))
 
 
 SAMPLE_ISSUES = 100  # issue rows kept for validation-results.json
-
-
-class _IssueSink(rd.Datasink):
-    """Write tasks that validate the blocks they persist: each task writes
-    its block as ``data_dir/<task_idx:06d>.parquet`` and its
-    ``issues_fn`` rows as ``issues_dir/<prefix>-<task_idx:06d>.parquet``
-    (``_write_checked``); the sink sums the tasks' row and issue counts.
-
-    ``issues_fn`` is passed in rather than looked up inside the task, so a
-    caller that swaps the kernel (a tracer, a test) is the one that runs."""
-
-    def __init__(self, data_dir: str, issues_fn, issues_dir: str,
-                 prefix: str, sample_rows: int = 0) -> None:
-        self.data_dir, self.issues_fn = data_dir, issues_fn
-        self.issues_dir, self.prefix = issues_dir, prefix
-        self.sample_rows = sample_rows
-        self.rows = 0
-        self.counts: Counter = Counter()  # (severity, rule) -> n
-        self.sample: list[dict] = []
-
-    def write(self, blocks, ctx) -> dict:
-        from ray.data.block import BlockAccessor
-
-        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
-        tables = [t for t in tables if t.num_rows]
-        name = f"{ctx.task_idx:06d}.parquet"
-        return {"task": ctx.task_idx, **_write_checked(
-            pa.concat_tables(tables, promote_options="default")
-            if tables else None,
-            os.path.join(self.data_dir, name), self.issues_fn,
-            os.path.join(self.issues_dir, f"{self.prefix}-{name}"),
-            self.sample_rows)}
-
-    def on_write_complete(self, write_result) -> None:
-        for r in sorted(write_result.write_returns, key=lambda r: r["task"]):
-            self.rows += r["rows"]
-            _tally(self.counts, r["counts"])
-            self.sample.extend(
-                r["sample"][: self.sample_rows - len(self.sample)])
 
 
 def _write_checked(t, path: str, issues_fn, issues_path: str,
@@ -687,6 +618,32 @@ def _tally(counts: Counter, rows: list[dict]) -> None:
     """Add issue_count_batch rows into a (severity, rule) Counter."""
     for r in rows:
         counts[(r["severity"], r["rule"])] += r["n"]
+
+
+_write_checked_task = ray.remote(_write_checked)
+
+
+def _write_nodes_blocks(refs: list, nodes_dir: str, issues_tmp: str,
+                        counts: Counter) -> list[dict]:
+    """One write task per nodes block: block ``i`` as ``<i:06d>.parquet``
+    and its validate_nodes_table rows as ``entity-<i:06d>.parquet`` in
+    ``issues_tmp`` (``_write_checked``). Adds the issue counts into
+    ``counts`` and returns the first SAMPLE_ISSUES issue rows in block
+    order."""
+    tmp = nodes_dir + ".tmp"
+    mf.clear_stale_tmp(tmp)
+    os.makedirs(tmp)
+    written = ray.get([
+        _write_checked_task.remote(
+            ref, os.path.join(tmp, f"{i:06d}.parquet"), validate_nodes_table,
+            os.path.join(issues_tmp, f"entity-{i:06d}.parquet"),
+            SAMPLE_ISSUES)
+        for i, ref in enumerate(refs)
+    ])
+    mf.atomic_replace_dir(tmp, nodes_dir)
+    for w in written:
+        _tally(counts, w["counts"])
+    return [r for w in written for r in w["sample"]][:SAMPLE_ISSUES]
 
 
 # The edges' file order: every edge file is sorted by this key and holds
@@ -730,15 +687,16 @@ def merge_edge_slices(slices: list[pa.Table], dedup: bool) -> pa.Table:
 
 
 @ray.remote
-def _map_edges(src, cuts, validate_fn, apply_fn, id_ref):
-    """Map task: one file group of triple records (ids applied here) or
-    one id-resolved block, validated and cut into sorted range slices.
-    Files are read with ``ParquetFile``: ``pq.read_table`` would load
-    pyarrow's dataset and Acero modules (~40 MB RSS) into the worker."""
+def _map_edges(src, cuts, validate_fn, apply_fn, id_map):
+    """Map task: one file group of triple records (ids applied here from
+    ``id_map``, which Ray resolves from the driver's broadcast ref) or one
+    id-resolved block, validated and cut into sorted range slices. Files
+    are read with ``ParquetFile``: ``pq.read_table`` would load pyarrow's
+    dataset and Acero modules (~40 MB RSS) into the worker."""
     if apply_fn is not None:
         src = apply_fn(pa.concat_tables(
             [pq.ParquetFile(f).read(columns=TRIPLE_COLUMNS) for f in src],
-            promote_options="default"), id_map_ref=id_ref)
+            promote_options="default"), id_map=id_map)
     # an empty block may carry no columns at all: it only pads the slices
     parts = (partition_edges(validate_fn(src), cuts) if src.num_rows
              else [src] * (len(cuts) + 1))
@@ -799,230 +757,85 @@ def _finalize_edges(sources: list, n_parts: int, n_nodes: int,
 
 
 def run_phase_b(cfg: KGConfig) -> dict:
-    """Global canonicalization + dedup + validate + materialize."""
-    if cfg.open_vocab:
-        return run_phase_b_openvocab(cfg)
-    t0 = time.perf_counter()
+    """Global canonicalization + dedup + validate + materialize. The mcount
+    partial rows (parquet footers) choose the path: at most
+    DRIVER_MCOUNT_MAX_ROWS are merged on the driver, which builds every
+    node and broadcasts the full id map; above it the counts, nodes and
+    edge ids stay distributed (pipelines/openvocab.py). Both paths write
+    the same outputs (nodes may span several files above the gate)."""
+    t0 = since = time.perf_counter()
     timings: dict[str, float] = {}
 
-    def _mark(name: str, since: list[float]) -> None:
+    def _mark(name: str) -> None:
+        nonlocal since
         now = time.perf_counter()
-        timings[name] = round(now - since[0], 3)
-        since[0] = now
+        timings[name] = round(now - since, 3)
+        since = now
 
-    _since = [t0]
     out = cfg.out_dir
     src_dirs = cfg.record_dirs or (out,)
     alias = cfg.alias_dict()
-
-    # ---- mention counts: batch-level partials were already emitted by the
-    # extractor (kind=mcount rows — the combiner half of the canonicalization
-    # shuffle), so the merge input here is bounded by batches x vocabulary,
-    # NOT by corpus size — the same driver-side bound the union-find step
-    # assumes. The pandas merge replaces a full Ray shuffle whose output
-    # would be vocabulary-sized anyway. Fallback: recompute partials from
-    # the mention rows when mcount files are absent.
+    # batch-level mention-count partials were already emitted by the
+    # extractor (kind=mcount rows — the combiner half of the
+    # canonicalization shuffle), so the merge input is bounded by
+    # batches x vocabulary, NOT by corpus size
     mcount_files = _kind_files(src_dirs, "mcount")
-    if mcount_files:
-        total_partial_rows = sum(
-            pq.read_metadata(f).num_rows for f in mcount_files
-        )
-        use_distributed = (
-            cfg.distributed_counts
-            if cfg.distributed_counts is not None
-            else total_partial_rows > PANDAS_MCOUNT_MAX_ROWS
-        )
-    else:
-        use_distributed = False
-    counts_df = None
-    if mcount_files and use_distributed:
-        partials = None  # already merged distributed
-        counts_df = _distributed_counts(mcount_files)
-    elif mcount_files:
-        # zero-copy load: read all partial files as one Arrow table, rename
-        # per MCOUNT_COLUMNS and convert columnar (to_pylist loops here cost
-        # seconds of serial driver time at bench scale)
-        t = pa.concat_tables(
-            pq.read_table(
-                f,
-                columns=["norm_surface", "n_in_page", "span_start",
-                         "span_end", "score", "confidence"],
-            )
-            for f in mcount_files
-        ).rename_columns(
-            ["norm_surface", "mentions_p", "links_p", "perfect_p",
-             "max_score_p", "min_score_p"]
-        )
-        partials = t.to_pandas() if t.num_rows else None
-    else:
-        mentions = mentions_dataset(
-            src_dirs, columns=["norm_surface", "n_in_page", "score"]
-        )
-        partials = (
-            mentions.map_batches(
-                partial_mention_counts, batch_format="pyarrow"
-            ).to_pandas()
-            if mentions is not None
-            else None
-        )
-
-    if partials is not None and not partials.empty:
-        counts_df = (
-            partials.groupby("norm_surface", sort=True)
-            .agg(
-                mention_count=("mentions_p", "sum"),
-                link_count=("links_p", "sum"),
-                perfect_links=("perfect_p", "sum"),
-                max_score=("max_score_p", "max"),
-                min_score=("min_score_p", "min"),
-            )
-            .reset_index()
-        )
-
-    if counts_df is None or counts_df.empty:
-        nodes = NODES_SCHEMA.empty_table()
-        id_map: dict[str, tuple[int, str]] = {}
-    else:
-        nodes, id_map = build_entity_table(counts_df, alias)
-    _mark("counts_unionfind_s", _since)
-
-    nodes_dir = os.path.join(out, "nodes")
-    _write_atomic_table(nodes, nodes_dir)
-    _write_nodes_summary_csv(nodes, os.path.join(out, "nodes_summary.csv"))
-
-    # ---- validation report (S8 analog) ----
-    # Entity issues are vocabulary-sized (driver); relationship issues are
-    # corpus-sized -> written by the edge write tasks (see
-    # _finalize_edges), with only (severity, rule) counts reduced to the
-    # driver for the JSON summary.
-    issues_dir = os.path.join(out, "validation", "issues")
-    tmpi = issues_dir + ".tmp"
-    mf.clear_stale_tmp(tmpi)
-    os.makedirs(tmpi, exist_ok=True)
-    by_rule_sev: Counter = Counter()
-
-    # ---- edges: id-apply + validation + range-partitioned sort ----
+    n_partials = sum(pq.read_metadata(f).num_rows for f in mcount_files)
     triple_files = _kind_files(src_dirs, "triple")
-    edges_dir = os.path.join(out, "edges")
-    n_edges = 0
-    if triple_files:
-        groups = file_groups(triple_files)
-        n_edges, edge_counts = _finalize_edges(
-            groups, len(groups), nodes.num_rows, edges_dir, tmpi, cfg,
-            id_ref=ray.put(id_map))
-        by_rule_sev.update(edge_counts)
-        _mark("edges_s", _since)
-    else:
-        os.makedirs(edges_dir, exist_ok=True)
+    groups = file_groups(triple_files) if triple_files else []
+    nodes_dir = os.path.join(out, "nodes")
 
-    entity_issues = validate_nodes_table(nodes)
-    pq.write_table(entity_issues, os.path.join(tmpi, "entity-issues.parquet"))
-    _tally(by_rule_sev, issue_count_batch(entity_issues).to_pylist())
-    sample = entity_issues.slice(0, SAMPLE_ISSUES).to_pylist()
-    mf.atomic_replace_dir(tmpi, issues_dir)
-    _mark("issues_s", _since)
-
-    return _report(out, by_rule_sev, sample, nodes.num_rows, n_edges,
-                   t0, timings)
-
-
-def run_phase_b_openvocab(cfg: KGConfig) -> dict:
-    """Open-vocabulary phase B (see pipelines/openvocab.py): counts, node
-    building, id assignment, edge id application and entity validation all
-    run distributed; only alias-relevant surfaces (bounded by the alias
-    dictionary) and per-block row counts reach the driver. Produces the same
-    on-disk outputs as run_phase_b (nodes may span multiple parquet files)."""
-    from .openvocab import apply_ids_hybrid, build_nodes_openvocab
-
-    t0 = time.perf_counter()
-    timings: dict[str, float] = {}
-
-    def _mark(name: str, since: list[float]) -> None:
-        now = time.perf_counter()
-        timings[name] = round(now - since[0], 3)
-        since[0] = now
-
-    _since = [t0]
-    out = cfg.out_dir
-    src_dirs = cfg.record_dirs or (out,)
-    alias = cfg.alias_dict()
-
-    mcount_files = _kind_files(src_dirs, "mcount")
-    if mcount_files:
-        counts_ds = _distributed_counts_ds(mcount_files)
-    else:
-        mentions = mentions_dataset(
-            src_dirs, columns=["norm_surface", "n_in_page", "score"]
-        )
-        counts_ds = (
-            _merge_partials_ds(
-                mentions.map_batches(
-                    partial_mention_counts, batch_format="pyarrow"
-                )
-            )
-            if mentions is not None
-            else None
-        )
-
-    # ---- validation report: entity issues distributed too, each written
-    # by the write task that persists its nodes block (same _IssueSink as
-    # the edges)
+    # ---- validation report (S8 analog): entity issues are written beside
+    # the nodes, relationship issues by the edge write tasks
+    # (_finalize_edges); only (severity, rule) counts and a sample reach
+    # the driver for the JSON summary
     issues_dir = os.path.join(out, "validation", "issues")
     tmpi = issues_dir + ".tmp"
     mf.clear_stale_tmp(tmpi)
     os.makedirs(tmpi, exist_ok=True)
     by_rule_sev: Counter = Counter()
-    sample: list[dict] = []
 
-    nodes_dir = os.path.join(out, "nodes")
-    n_nodes = 0
-    nodes_ds = mapping_ds = None
-    ov = None
-    if counts_ds is not None:
-        ov = build_nodes_openvocab(counts_ds, alias, hot_cap=cfg.hot_map_cap)
-        nodes_ds, mapping_ds = ov.nodes_ds, ov.mapping_ds
+    if n_partials > DRIVER_MCOUNT_MAX_ROWS:
+        ov = build_nodes_openvocab(_distributed_counts_ds(mcount_files), alias)
         n_nodes = ov.n_nodes
-    if nodes_ds is None or n_nodes == 0:
-        # empty corpus: same on-disk shape as the default path (an empty
-        # single-file nodes table readers can open)
-        _write_atomic_table(NODES_SCHEMA.empty_table(), nodes_dir)
-        nodes_ds = mapping_ds = None
-        n_nodes = 0
-    else:
-        tmpn = nodes_dir + ".tmp"
-        mf.clear_stale_tmp(tmpn)
-        os.makedirs(tmpn)
-        sink = _IssueSink(tmpn, validate_nodes_table, tmpi, "entity",
-                          sample_rows=SAMPLE_ISSUES)
-        nodes_ds.write_datasink(sink)
-        mf.atomic_replace_dir(tmpn, nodes_dir)
-        by_rule_sev.update(sink.counts)
-        sample = sink.sample
+        sample = _write_nodes_blocks(ov.nodes_ds.to_arrow_refs(), nodes_dir,
+                                     tmpi, by_rule_sev)
         # top-1000 summary reuses the per-block top-k combiner result that
         # also feeds the hot map — no second vocabulary-wide sort
-        _write_nodes_summary_csv(
-            ov.top_tbl.slice(0, 1000).drop_columns(["aliases"]),
-            os.path.join(out, "nodes_summary.csv"),
-        )
-    _mark("counts_unionfind_s", _since)
+        _write_nodes_summary_csv(ov.top_tbl.slice(0, 1000),
+                                 os.path.join(out, "nodes_summary.csv"))
+        _mark("counts_unionfind_s")
+        nodes, id_ref = None, None  # entity issues written per block above
+        sources = apply_ids_hybrid(
+            rd.read_parquet(triple_files, columns=TRIPLE_COLUMNS),
+            ov.mapping_ds, ov.hot_map, ov.hot_total,
+        ).to_arrow_refs() if groups else []
+    else:
+        nodes, id_map = build_entity_table(_driver_counts(mcount_files), alias)
+        n_nodes = nodes.num_rows
+        _mark("counts_unionfind_s")
+        _write_atomic_table(nodes, nodes_dir)
+        _write_nodes_summary_csv(nodes, os.path.join(out, "nodes_summary.csv"))
+        sources, id_ref = groups, ray.put(id_map)
 
-    triple_files = _kind_files(src_dirs, "triple")
+    # ---- edges: id-apply + validation + range-partitioned sort ----
     edges_dir = os.path.join(out, "edges")
     n_edges = 0
-    if triple_files and mapping_ds is not None:
-        edges = apply_ids_hybrid(
-            rd.read_parquet(triple_files, columns=TRIPLE_COLUMNS),
-            mapping_ds, ov.hot_map, ov.hot_total)
+    if groups:
         n_edges, edge_counts = _finalize_edges(
-            edges.to_arrow_refs(), len(file_groups(triple_files)), n_nodes,
-            edges_dir, tmpi, cfg)
+            sources, len(groups), n_nodes, edges_dir, tmpi, cfg, id_ref=id_ref)
         by_rule_sev.update(edge_counts)
-        _mark("edges_s", _since)
+        _mark("edges_s")
     else:
         os.makedirs(edges_dir, exist_ok=True)
-    mf.atomic_replace_dir(tmpi, issues_dir)
-    _mark("issues_s", _since)
 
+    if nodes is not None:
+        entity_issues = validate_nodes_table(nodes)
+        pq.write_table(entity_issues, os.path.join(tmpi, "entity-issues.parquet"))
+        _tally(by_rule_sev, issue_count_batch(entity_issues).to_pylist())
+        sample = entity_issues.slice(0, SAMPLE_ISSUES).to_pylist()
+    mf.atomic_replace_dir(tmpi, issues_dir)
+    _mark("issues_s")
     return _report(out, by_rule_sev, sample, n_nodes, n_edges, t0, timings)
 
 
@@ -1112,7 +925,6 @@ def merge_runs(
     out_dir: str,
     *,
     alias: dict[str, tuple[str, str]] | None = None,
-    open_vocab: bool = False,
     global_edge_dedup: bool = False,
 ) -> dict:
     """Incremental-crawl merge — the reference's upsert story
@@ -1148,8 +960,8 @@ def merge_runs(
     """
     sems = set()
     for d in record_dirs:
-        if not _kind_files(d, "mcount") and not _kind_files(d, "mention"):
-            raise ValueError(f"no phase-A record artifacts under {d!r}")
+        if not _kind_files(d, "mcount"):
+            raise ValueError(f"no phase-A mcount records under {d!r}")
         marker = os.path.join(d, "_LAYOUT")
         if os.path.exists(marker):
             sems.add(json.loads(open(marker).read()).get("sem"))
@@ -1167,7 +979,6 @@ def merge_runs(
         pages_dir="",  # phase A never runs for a merge
         out_dir=out_dir,
         alias=alias,
-        open_vocab=open_vocab,
         global_edge_dedup=global_edge_dedup,
         record_dirs=tuple(record_dirs),
     )

@@ -1,15 +1,16 @@
 """Open-vocabulary phase B: nodes and id application without vocabulary-sized
 driver state.
 
-The default phase B (pipelines/kg.py) reduces the merged mention counts to a
-driver DataFrame, runs union-find over ALL distinct surfaces and broadcasts
-the full norm -> (entity_id, canonical) map. That is correct while the
-vocabulary is dimension-bounded (a closed alias universe), but on real
-web text ``norm_surface`` is open-vocabulary: distinct surfaces grow with the
-corpus, and both the driver DataFrame and the broadcast map grow with them —
-the scale killer the design doc warns about.
+Below ``pipelines.kg.DRIVER_MCOUNT_MAX_ROWS`` mcount partial rows, phase B
+(pipelines/kg.py) merges the mention counts into one driver table, runs
+union-find over ALL distinct surfaces and broadcasts the full norm ->
+(entity_id, canonical) map. That is correct while the vocabulary is
+dimension-bounded (a closed alias universe), but on real web text
+``norm_surface`` is open-vocabulary: distinct surfaces grow with the corpus,
+and both the driver table and the broadcast map grow with them — the scale
+killer the design doc warns about.
 
-This module is the ``KGConfig(open_vocab=True)`` path:
+This module is phase B above that gate:
 
 - the merged counts stay a DATASET;
 - only ALIAS-RELEVANT surfaces (alias keys + normalized canonical names —
@@ -19,14 +20,14 @@ This module is the ``KGConfig(open_vocab=True)`` path:
 - every other surface becomes a singleton node distributed (vectorized
   map_batches, no driver pass);
 - entity ids (dense rank of sorted canonical name — same rule as the
-  default path) are assigned distributed: sort, then per-block offsets from
+  driver side) are assigned distributed: sort, then per-block offsets from
   block row counts (driver sees one integer per block);
-- edge id application is a hash JOIN of triples against the exploded
-  (member_norm -> entity_id, canonical) mapping dataset instead of a
-  broadcast dict.
+- edge id application resolves the ``HOT_MAP_CAP`` most-mentioned nodes
+  from a broadcast hot map and the rest with a hash JOIN of triples against
+  the exploded (member_norm -> entity_id, canonical) mapping dataset.
 
-Output parity with the default path (same nodes, same edges) is asserted by
-tests/test_openvocab.py on the synthetic corpus.
+Output parity with the driver side (same nodes, same edges) is asserted by
+tests/test_openvocab.py on the synthetic corpus, with the gate forced.
 """
 
 from __future__ import annotations
@@ -40,7 +41,20 @@ import ray.data as rd
 
 from ..functions.textnorm import norm_surface
 from ..runtime import worker_cached
-from ..stages.canonicalize import ENTITY_SCHEMA, NODES_SCHEMA, component_table
+from ..stages.canonicalize import (
+    EDGE_COLUMNS,
+    ENTITY_SCHEMA,
+    NODES_SCHEMA,
+    component_table,
+    edge_table,
+    lookup_norms,
+)
+
+# Nodes in the broadcast hot map: the top HOT_MAP_CAP by mention_count.
+# Triple rows whose norms all hit it resolve without a shuffle (the Zipf
+# head = the bulk of occurrences); only tail rows pay the lookup join.
+# 0 disables the hot map (pure join path). Read at call time.
+HOT_MAP_CAP = 100_000
 
 
 def alias_relevant_set(alias: dict[str, tuple[str, str]]) -> set[str]:
@@ -80,29 +94,30 @@ class OVNodes:
 
 
 def build_nodes_openvocab(
-    counts_ds: rd.Dataset, alias: dict[str, tuple[str, str]],
-    hot_cap: int = 0,
+    counts_ds: rd.Dataset, alias: dict[str, tuple[str, str]]
 ):
     """counts Dataset (norm_surface, mention_count, link_count,
     perfect_links, max_score, min_score) -> OVNodes: materialized nodes
     Dataset with entity ids, the (member_norm -> entity_id, canonical)
-    mapping Dataset, and a FIXED-SIZE hot map — the top ``hot_cap`` nodes
+    mapping Dataset, and a FIXED-SIZE hot map — the top ``HOT_MAP_CAP`` nodes
     by mention_count, exploded to their alias members. On Zipfian web text
     the hot head covers the bulk of triple occurrences, so edge id
     application resolves most rows against the broadcast hot map and only
     tail rows pay the distributed lookup join (apply_ids_hybrid). The hot
-    map is bounded by ``hot_cap`` regardless of corpus size."""
+    map is bounded by ``HOT_MAP_CAP`` regardless of corpus size."""
+    hot_cap = HOT_MAP_CAP
     relevant = pa.array(sorted(alias_relevant_set(alias)), pa.string())
     rel_ref = ray.put(relevant)
 
     counts_ds = counts_ds.materialize()  # consumed twice (hit + miss split)
-    hits_df = counts_ds.map_batches(
+    hits = [t for t in counts_ds.map_batches(
         _split_relevant, fn_kwargs={"rel_ref": rel_ref, "keep": True},
         batch_format="pyarrow",
-    ).to_pandas()  # bounded by |alias dict|, never by the corpus
+    ).iter_batches(batch_format="pyarrow", batch_size=None)
+        if t.num_rows]  # bounded by |alias dict|, never by the corpus
 
     merged_tbl, row_of = (
-        component_table(hits_df, alias) if len(hits_df)
+        component_table(pa.concat_tables(hits), alias) if hits
         else (ENTITY_SCHEMA.empty_table(), {})
     )
 
@@ -374,15 +389,11 @@ def lookup_join(
     )
 
 
-def apply_ids_join(
-    triples: rd.Dataset, mapping_ds: rd.Dataset, num_partitions: int = 0
-) -> rd.Dataset:
+def apply_ids_join(triples: rd.Dataset, mapping_ds: rd.Dataset) -> rd.Dataset:
     """Join-based edge id application (no broadcast map): triples resolved
     against the mapping dataset on subj_norm then obj_norm via the skew-safe
     lookup join (unknown norms keep -1/norm like the broadcast path).
-    Output columns match stages/canonicalize.ApplyEntityIds.
-    ``num_partitions`` is accepted for API compatibility; routing uses
-    cluster-scaled coarse groups (``_lookup_groups``)."""
+    Output columns match stages/canonicalize.apply_ids_batch."""
     triple_fields = [
         ("url", pa.string()), ("warc_ts", pa.timestamp("us")),
         ("subj", pa.string()), ("subj_norm", pa.string()),
@@ -411,10 +422,7 @@ def apply_ids_join(
                 t["confidence"].combine_chunks(),
                 t["context"].combine_chunks(),
             ],
-            names=[
-                "subj_id", "pred", "obj_id", "subj", "obj",
-                "url", "warc_ts", "confidence", "context",
-            ],
+            names=EDGE_COLUMNS,
         )
 
     return j.map_batches(finish, batch_format="pyarrow")
@@ -423,7 +431,7 @@ def apply_ids_join(
 # ---------------------------------------------------------------------------
 # Hybrid edge id application: broadcast hot head + distributed tail join.
 #
-# Web-text surface frequencies are Zipfian, so the top hot_cap nodes cover
+# Web-text surface frequencies are Zipfian, so the top HOT_MAP_CAP nodes cover
 # the bulk of triple occurrences. Rows whose BOTH norms hit the broadcast
 # hot map resolve in-place (zero shuffles — the closed-vocab broadcast
 # pattern with a FIXED-size dict); only rows touching a tail norm route
@@ -431,25 +439,6 @@ def apply_ids_join(
 # (hot_total), the hot map IS the complete mapping and even misses are true
 # unknowns (-1), so the tail join is skipped entirely.
 # ---------------------------------------------------------------------------
-
-_EDGE_NAMES = [
-    "subj_id", "pred", "obj_id", "subj", "obj",
-    "url", "warc_ts", "confidence", "context",
-]
-
-
-def _hot_lookup(col: pa.ChunkedArray, hmap: dict):
-    """Dictionary-encode the norm column and map only the DICTIONARY
-    (O(uniques) Python cost, mirrors stages/canonicalize.ApplyEntityIds)."""
-    enc = pc.dictionary_encode(col.combine_chunks())
-    if isinstance(enc, pa.ChunkedArray):
-        enc = enc.combine_chunks()
-    uniques = enc.dictionary.to_pylist()
-    hit = pa.array([u in hmap for u in uniques], pa.bool_())
-    ids = pa.array([hmap.get(u, (-1, u))[0] for u in uniques], pa.int64())
-    names = pa.array([hmap.get(u, (-1, u))[1] for u in uniques], pa.string())
-    idx = enc.indices
-    return pc.take(ids, idx), pc.take(names, idx), pc.take(hit, idx)
 
 
 def hot_apply_batch(
@@ -460,23 +449,17 @@ def hot_apply_batch(
     -1 unknown sentinel, the broadcast-path semantics). emit='misses':
     return the UNRESOLVED triple rows unchanged (the tail join input)."""
     hmap = _cached_ref(hot_ref)
-    s_id, s_name, s_hit = _hot_lookup(t["subj_norm"], hmap)
-    o_id, o_name, o_hit = _hot_lookup(t["obj_norm"], hmap)
-    covered = pc.and_(s_hit, o_hit)
+    subj = lookup_norms(t["subj_norm"], hmap)
+    obj = lookup_norms(t["obj_norm"], hmap)
+    # entity ids are >= 0: the -1 sentinel marks a hot-map miss
+    covered = pc.and_(pc.not_equal(subj[0], -1), pc.not_equal(obj[0], -1))
     if emit == "misses":
         return t.filter(pc.invert(covered))
     if not total:
         t = t.filter(covered)
-        s_id, s_name = pc.filter(s_id, covered), pc.filter(s_name, covered)
-        o_id, o_name = pc.filter(o_id, covered), pc.filter(o_name, covered)
-    return pa.Table.from_arrays(
-        [
-            s_id, t.column("pred"), o_id, s_name, o_name,
-            t.column("url"), t.column("warc_ts"),
-            t.column("confidence"), t.column("context"),
-        ],
-        names=_EDGE_NAMES,
-    )
+        subj = [pc.filter(a, covered) for a in subj]
+        obj = [pc.filter(a, covered) for a in obj]
+    return edge_table(t, subj, obj)
 
 
 def apply_ids_hybrid(
@@ -486,7 +469,7 @@ def apply_ids_hybrid(
     hot_total: bool,
 ) -> rd.Dataset:
     """Edge id application with the hot-head/tail split. Byte-identical to
-    apply_ids_join (tests force hot_map_cap small / zero to prove it): the
+    apply_ids_join (tests force HOT_MAP_CAP small / zero to prove it): the
     hot map's entries are mapping rows, and the tail path resolves exactly
     the rows the hot pass could not."""
     if not hot_map:

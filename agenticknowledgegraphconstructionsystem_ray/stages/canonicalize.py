@@ -1,5 +1,5 @@
-"""Canonicalization: salted/partial mention counting + union-find merge +
-entity-id application.
+"""Canonicalization: mention-count merge + union-find merge + entity-id
+application.
 
 Reference analog (SURVEY.md A4/D3): the ``concepts`` unique-name upsert with
 ``mention_count = mention_count + 1`` (``agents/src/database.ts:102-110``,
@@ -8,15 +8,20 @@ reference, re-expressed as a two-level aggregation:
 
 1. the TripleExtractor already emits one row per (page, norm_surface) with
    ``n_in_page`` (page-level combiner);
-2. ``partial_mention_counts`` collapses each BLOCK to one row per surface
-   (block-level combiner — this is what defeats Zipf-head skew: a head
-   entity contributes at most one row per block to the shuffle, the same
-   effect as salting the groupby key, without a second merge pass);
-3. a final small ``groupby("norm_surface")`` merges block partials.
+2. the same batch collapses its mention rows to one ``kind=mcount`` row per
+   (chunk, surface) (``stages/triples._mcount_table``, the batch-level
+   combiner — this is what defeats Zipf-head skew: a head entity
+   contributes at most one row per batch to the merge, the same effect as
+   salting the groupby key, without a second merge pass);
+3. phase B merges those partials with one ``group_by("norm_surface")``:
+   an Arrow one on the driver while the partial rows stay at or below
+   ``pipelines.kg.DRIVER_MCOUNT_MAX_ROWS``, a Ray groupby above it
+   (``pipelines.kg.run_phase_b``).
 
 Entity merging (alias long-form <-> acronym) runs on the DRIVER over the
-distinct-surface table, which is bounded by vocabulary size, not corpus
-size. A dict union-find (state/unionfind.py) links each alias to its
+distinct-surface table (above the gate, over its alias-relevant rows
+only: pipelines/openvocab.py), which is bounded by vocabulary size, not
+corpus size. A dict union-find (state/unionfind.py) links each alias to its
 canonical's norm; then ONE columnar pass tags every counts row with its
 component root and ``group_by(root)`` sums the counts, takes the score
 max/min and lists the aliases — no per-component Python loop. The reference
@@ -25,53 +30,11 @@ lists this disambiguation as future work (``README.md:1442-1444``).
 
 from __future__ import annotations
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.textnorm import norm_surface
-from ..runtime import worker_cached
 from ..state.unionfind import UnionFind
-
-PARTIAL_SCHEMA = pa.schema(
-    [
-        ("norm_surface", pa.string()),
-        ("mentions_p", pa.int64()),
-        ("links_p", pa.int64()),
-        ("perfect_p", pa.int64()),
-        ("max_score_p", pa.float64()),
-        ("min_score_p", pa.float64()),
-    ]
-)
-
-
-def partial_mention_counts(batch: pa.Table) -> pa.Table:
-    """Block-level combiner over mention records (see module docstring)."""
-    perfect = pc.cast(pc.equal(batch.column("score"), pa.scalar(1.0)), pa.int64())
-    t = batch.select(["norm_surface", "n_in_page", "score"]).append_column(
-        "perfect", perfect
-    )
-    g = t.group_by("norm_surface").aggregate(
-        [
-            ("n_in_page", "sum"),
-            ("norm_surface", "count"),
-            ("perfect", "sum"),
-            ("score", "max"),
-            ("score", "min"),
-        ]
-    )
-    return pa.Table.from_arrays(
-        [
-            g.column("norm_surface"),
-            pc.cast(g.column("n_in_page_sum"), pa.int64()),
-            pc.cast(g.column("norm_surface_count"), pa.int64()),
-            pc.cast(g.column("perfect_sum"), pa.int64()),
-            g.column("score_max"),
-            g.column("score_min"),
-        ],
-        schema=PARTIAL_SCHEMA,
-    )
-
 
 NODES_SCHEMA = pa.schema(
     [
@@ -98,7 +61,7 @@ _COMPONENT_AGGS = [
 
 
 def component_table(
-    counts: pd.DataFrame, alias: dict[str, tuple[str, str]]
+    counts: pa.Table, alias: dict[str, tuple[str, str]]
 ) -> tuple[pa.Table, dict[str, int]]:
     """Union-find + one columnar aggregation -> (node rows without entity
     ids, ordered by (canonical_name, component root); member norm -> row
@@ -107,7 +70,6 @@ def component_table(
     ``canonical_name``/``ent_type`` are the smallest alias canonical/type
     among the members (else ``"concept"``); a component with no alias
     member is one observed norm, which names itself."""
-    counts = pa.Table.from_pandas(counts, preserve_index=False)
     norms = counts["norm_surface"].to_pylist()
     uf = UnionFind()
     for norm in norms:
@@ -158,7 +120,7 @@ def component_table(
 
 
 def build_entity_table(
-    counts: pd.DataFrame, alias: dict[str, tuple[str, str]]
+    counts: pa.Table, alias: dict[str, tuple[str, str]]
 ) -> tuple[pa.Table, dict[str, tuple[int, str]]]:
     """Driver-side union-find merge -> (nodes table, norm -> (entity_id,
     canonical_name) map).
@@ -176,55 +138,36 @@ def build_entity_table(
     return nodes, {m: (i, names[i]) for m, i in row_of.items()}
 
 
-class ApplyEntityIds:
-    """Actor-pool stage: rewrite triple records to id-resolved edges using the
-    broadcast ``id_map`` (``ray.put`` once, ``ray.get`` once per actor —
-    SURVEY.md T3 broadcast pattern; never re-shipped per batch)."""
+EDGE_COLUMNS = ["subj_id", "pred", "obj_id", "subj", "obj",
+               "url", "warc_ts", "confidence", "context"]
 
-    def __init__(self, id_map_ref=None, id_map=None) -> None:
-        if id_map is None:
-            import ray
 
-            id_map = ray.get(id_map_ref) if id_map_ref is not None else {}
-        self.id_map = id_map
+def lookup_norms(
+    col: pa.ChunkedArray, id_map: dict[str, tuple[int, str]]
+) -> tuple[pa.Array, pa.Array]:
+    """(entity ids, names) of a norm column through ``id_map``, with the
+    ``(-1, norm)`` unknown sentinel for a miss. Dictionary-encodes the
+    column (Zipf-heavy: few uniques per batch) and maps only the
+    DICTIONARY, then takes — per-row Python cost is O(uniques), not
+    O(rows)."""
+    enc = pc.dictionary_encode(col.combine_chunks())
+    if isinstance(enc, pa.ChunkedArray):
+        enc = enc.combine_chunks()
+    hits = [id_map.get(u, (-1, u)) for u in enc.dictionary.to_pylist()]
+    ids = pa.array([h[0] for h in hits], pa.int64())
+    names = pa.array([h[1] for h in hits], pa.string())
+    return pc.take(ids, enc.indices), pc.take(names, enc.indices)
 
-    def _lookup(self, col: pa.ChunkedArray) -> tuple[pa.Array, pa.Array]:
-        """Dictionary-encode the norm column (Zipf-heavy: few uniques per
-        batch) and map only the DICTIONARY through the id map, then take —
-        per-row Python cost is O(uniques), not O(rows)."""
-        enc = pc.dictionary_encode(col.combine_chunks())
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        uniques = enc.dictionary.to_pylist()
-        ids = pa.array(
-            [self.id_map.get(u, (-1, u))[0] for u in uniques], pa.int64()
-        )
-        names = pa.array(
-            [self.id_map.get(u, (-1, u))[1] for u in uniques], pa.string()
-        )
-        idx = enc.indices
-        return pc.take(ids, idx), pc.take(names, idx)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        subj_ids, subjs = self._lookup(batch.column("subj_norm"))
-        obj_ids, objs = self._lookup(batch.column("obj_norm"))
-        return pa.Table.from_arrays(
-            [
-                subj_ids,
-                batch.column("pred"),
-                obj_ids,
-                subjs,
-                objs,
-                batch.column("url"),
-                batch.column("warc_ts"),
-                batch.column("confidence"),
-                batch.column("context"),
-            ],
-            names=[
-                "subj_id", "pred", "obj_id", "subj", "obj",
-                "url", "warc_ts", "confidence", "context",
-            ],
-        )
+def edge_table(t: pa.Table, subj, obj) -> pa.Table:
+    """Edge rows of triple records ``t`` from their resolved (ids, names)
+    pairs ``subj`` and ``obj``."""
+    return pa.Table.from_arrays(
+        [subj[0], t.column("pred"), obj[0], subj[1], obj[1],
+         t.column("url"), t.column("warc_ts"), t.column("confidence"),
+         t.column("context")],
+        names=EDGE_COLUMNS,
+    )
 
 
 def label_propagation_components(
@@ -436,21 +379,14 @@ def label_propagation_components_driverless(edges, max_rounds: int = 50):
     )
 
 
-def apply_ids_batch(batch: pa.Table, id_map_ref=None) -> pa.Table:
-    """Stateless-task form of ApplyEntityIds: the broadcast id map is
-    resolved from the local object store once per worker process and cached,
-    so the stage runs as plain fused tasks (elastic parallelism, no
-    actor-pool cap) — same rationale as stages/triples.extract_records_batch.
-    """
-    if id_map_ref is not None and not hasattr(id_map_ref, "hex"):
-        # already a plain dict: construct fresh — caching by id() could
-        # collide across runs after GC reuse
-        return ApplyEntityIds(id_map=id_map_ref)(batch)
-
-    def build() -> ApplyEntityIds:
-        return ApplyEntityIds(id_map_ref=id_map_ref)
-
-    return worker_cached(id_map_ref, build)(batch)
+def apply_ids_batch(batch: pa.Table, id_map=None) -> pa.Table:
+    """Triple records -> id-resolved edge rows through the norm ->
+    (entity_id, canonical_name) ``id_map``. Phase B passes the map as a
+    top-level task argument, so Ray hands each task the broadcast dict
+    itself, fetched from the local object store."""
+    id_map = id_map or {}
+    return edge_table(batch, lookup_norms(batch["subj_norm"], id_map),
+                      lookup_norms(batch["obj_norm"], id_map))
 
 
 # Dedup KEY includes the carried subj/obj names: for resolved ids they are

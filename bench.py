@@ -148,6 +148,20 @@ class _MemWatch:
         }
 
 
+def _settle(ray, ncpu: int, timeout_s: float = 10.0) -> None:
+    """Wait for the cluster to return to idle between timed segments:
+    actor pools and shuffle aggregators from the previous segment tear
+    down asynchronously and otherwise hold CPU slots into the next
+    measurement (q22 measured 6-9 s isolated vs 19-32 s when run
+    immediately after the KG pipeline in the same session)."""
+    deadline = time.perf_counter() + timeout_s
+    while time.perf_counter() < deadline:
+        avail = ray.available_resources().get("CPU", 0)
+        if avail >= ncpu - 0.5:
+            return
+        time.sleep(0.2)
+
+
 def run_bench(kg_only: bool = False, pages_mult: int = 1) -> dict:
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
@@ -222,21 +236,8 @@ def run_bench(kg_only: bool = False, pages_mult: int = 1) -> dict:
     docs_per_s = res["pages_processed"] / t_kg if t_kg else 0.0
     triples_per_s = res["n_edges"] / t_kg if t_kg else 0.0
 
-    def _settle(timeout_s: float = 10.0) -> None:
-        """Wait for the cluster to return to idle between timed segments:
-        actor pools and shuffle aggregators from the previous segment tear
-        down asynchronously and otherwise hold CPU slots into the next
-        measurement (q22 measured 6-9 s isolated vs 19-32 s when run
-        immediately after the KG pipeline in the same session)."""
-        deadline = time.perf_counter() + timeout_s
-        while time.perf_counter() < deadline:
-            avail = ray.available_resources().get("CPU", 0)
-            if avail >= ncpu - 0.5:
-                return
-            time.sleep(0.2)
-
     def timed(name: str, fn) -> None:
-        _settle()
+        _settle(ray, ncpu)
         t = time.perf_counter()
         result = fn(sf_dir)
         if hasattr(result, "to_pandas"):
@@ -936,6 +937,7 @@ def run_update() -> dict:
     queries: dict[str, float] = {}
 
     def timed(name, fn):
+        _settle(ray, ncpu)
         t0 = time.perf_counter()
         r = fn()
         queries[name] = round(time.perf_counter() - t0, 3)

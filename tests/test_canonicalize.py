@@ -10,8 +10,9 @@ from agenticknowledgegraphconstructionsystem_ray.functions.textnorm import norm_
 from agenticknowledgegraphconstructionsystem_ray.stages.canonicalize import (
     NODES_SCHEMA,
     build_entity_table,
-    partial_mention_counts,
 )
+from agenticknowledgegraphconstructionsystem_ray.stages.triples import _mcount_table
+from agenticknowledgegraphconstructionsystem_ray.pipelines.kg import merge_mcounts
 from agenticknowledgegraphconstructionsystem_ray.state.unionfind import UnionFind
 
 
@@ -25,19 +26,25 @@ def test_unionfind_transitive():
 
 
 def test_partial_counts_match_naive():
+    """Mention rows split over two chunks -> per-batch mcount partials
+    (stages/triples) -> phase B's driver merge."""
     batch = pa.table(
         {
+            "chunk": ["00000", "00000", "00001", "00001", "00001"],
             "norm_surface": ["a", "b", "a", "a", "b"],
-            "n_in_page": [2, 1, 3, 1, 4],
+            "n_in_page": pa.array([2, 1, 3, 1, 4], pa.int32()),
             "score": [0.4, 1.0, 0.8, 1.0, 0.6],
         }
     )
-    out = partial_mention_counts(batch).to_pydict()
+    partials = _mcount_table(batch)
+    assert partials.num_rows == 4  # one row per (chunk, surface)
+    out = merge_mcounts(partials).to_pydict()
+    assert out["norm_surface"] == ["a", "b"]
     d = {
         n: (m, l, p, mx, mn)
         for n, m, l, p, mx, mn in zip(
-            out["norm_surface"], out["mentions_p"], out["links_p"],
-            out["perfect_p"], out["max_score_p"], out["min_score_p"],
+            out["norm_surface"], out["mention_count"], out["link_count"],
+            out["perfect_links"], out["max_score"], out["min_score"],
         )
     }
     assert d["a"] == (6, 3, 1, 1.0, 0.4)
@@ -69,7 +76,8 @@ def test_alias_merge_transitive_chain():
             ("unknown thing", 1, 1, 0, 0.4, 0.4),
         ]
     )
-    nodes, id_map = build_entity_table(counts, alias)
+    nodes, id_map = build_entity_table(
+        pa.Table.from_pandas(counts, preserve_index=False), alias)
     d = nodes.to_pydict()
     assert d["canonical_name"] == ["Neural Radiance Fields", "unknown thing"]
     assert d["mention_count"] == [8, 1]
@@ -88,7 +96,8 @@ def test_entity_ids_deterministic_by_name():
     counts = _counts(
         [("zebra", 1, 1, 0, 0.4, 0.4), ("apple", 1, 1, 0, 0.4, 0.4)]
     )
-    nodes, id_map = build_entity_table(counts, alias)
+    nodes, id_map = build_entity_table(
+        pa.Table.from_pandas(counts, preserve_index=False), alias)
     assert nodes.to_pydict()["canonical_name"] == ["apple", "zebra"]
     assert id_map["apple"][0] == 0 and id_map["zebra"][0] == 1
 
@@ -218,7 +227,8 @@ def test_entity_table_matches_per_component_reference(case, seed):
     # roots (the tie-break between equal canonical names) depend on it.
     counts = counts.sample(frac=1.0, random_state=seed)
     want_nodes, want_map = _reference_entity_table(counts, alias)
-    nodes, id_map = build_entity_table(counts, alias)
+    nodes, id_map = build_entity_table(
+        pa.Table.from_pandas(counts, preserve_index=False), alias)
     assert nodes.schema == NODES_SCHEMA
     assert nodes.to_pydict() == want_nodes.to_pydict()
     assert id_map == want_map

@@ -92,36 +92,6 @@ def test_global_dedup_collapses_duplicate_urls(tmp_path, ray_session):
     assert keys == sorted(keys)  # still globally sorted after the shuffle
 
 
-def test_distributed_counts_path_equal(small_pages, tmp_path, default_edges):
-    """Forcing the Ray-groupby mention-count merge (the open-vocabulary
-    phase-B path) must produce identical nodes AND edges to the driver
-    pandas merge."""
-    out = str(tmp_path / "distcounts")
-    kg.run_pipeline(
-        kg.KGConfig(
-            pages_dir=small_pages, out_dir=out, chunk_files=2,
-            distributed_counts=True,
-        )
-    )
-    assert _edges(out).equals(default_edges)
-
-
-def test_distributed_counts_nodes_equal(small_pages, tmp_path):
-    outs = []
-    for name, dist in [("nodes_pd", False), ("nodes_ray", True)]:
-        out = str(tmp_path / name)
-        kg.run_pipeline(
-            kg.KGConfig(
-                pages_dir=small_pages, out_dir=out, chunk_files=2,
-                distributed_counts=dist,
-            )
-        )
-        outs.append(
-            pq.read_table(os.path.join(out, "nodes", "part-00000.parquet"))
-        )
-    assert outs[0].equals(outs[1])
-
-
 def test_check_layout_refuses_foreign_dir(tmp_path, small_pages):
     """Pointing out_dir at a pre-existing non-pipeline directory must raise,
     never delete its contents."""

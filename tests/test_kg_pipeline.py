@@ -228,10 +228,12 @@ def test_merge_runs_bit_identical_to_full_run(ray_session, tmp_path):
     assert issues(merged).equals(issues(full))
 
 
-def test_merge_runs_openvocab_and_multiway(ray_session, tmp_path):
-    """merge_runs must hold on the open-vocabulary phase-B path (the 100-TB
-    configuration) and for MULTI-way merges: three third-corpus runs merged
-    open-vocab == one full default-path run, bit-exact."""
+def test_merge_runs_openvocab_and_multiway(ray_session, tmp_path,
+                                           phase_b_gate):
+    """merge_runs must hold on phase B's distributed side (above the path
+    gate: the 100-TB configuration) and for MULTI-way merges: three
+    third-corpus runs merged on the distributed side == one full
+    driver-side run, bit-exact."""
     import glob
     import os
 
@@ -256,7 +258,9 @@ def test_merge_runs_openvocab_and_multiway(ray_session, tmp_path):
         thirds.append(out)
 
     merged = os.path.join(root, "merged_ov")
-    kg.merge_runs(thirds, merged, open_vocab=True)
+    with phase_b_gate() as calls:
+        kg.merge_runs(thirds, merged)
+    assert len(calls) == 1
     full = os.path.join(root, "full")
     kg.run_pipeline(kg.KGConfig(pages_dir=pages, out_dir=full, chunk_files=2))
 

@@ -1,9 +1,12 @@
-"""The open-vocabulary phase B (KGConfig(open_vocab=True): alias-relevant
-surfaces only to the driver, distributed singleton nodes, block-offset id
-assignment, join-based edge id application) must produce the same graph as
-the default driver-side path."""
+"""Phase B above its path gate (``kg.DRIVER_MCOUNT_MAX_ROWS``; the
+open-vocabulary side: alias-relevant surfaces only to the driver,
+distributed singleton nodes, block-offset id assignment, hot-map + join
+edge id application) must produce the same graph as the driver side. The
+gate is forced to 0 partial rows; each run shows it took the distributed
+side."""
 
 import glob
+import json
 import os
 
 import pyarrow.parquet as pq
@@ -27,25 +30,29 @@ def pages(tmp_path_factory, ray_session):
     return str(d)
 
 
-# Three open-vocab regimes, each asserted byte-identical to the default
-# driver-side path: hot map covering every node (hot_total, zero tail),
-# a tiny hot map forcing the hybrid head+tail split, and hot map disabled
-# (pure distributed lookup join).
+# Three distributed-side regimes, each asserted byte-identical to the
+# driver side: hot map covering every node (hot_total, zero tail), a tiny
+# hot map forcing the hybrid head+tail split, and hot map disabled (pure
+# distributed lookup join).
 _VARIANTS = [
-    ("openvocab", dict(open_vocab=True)),                     # hot_total
-    ("openvocab_hybrid", dict(open_vocab=True, hot_map_cap=7)),
-    ("openvocab_join", dict(open_vocab=True, hot_map_cap=0)),
+    ("openvocab", None),             # default HOT_MAP_CAP: hot_total
+    ("openvocab_hybrid", 7),
+    ("openvocab_join", 0),
 ]
 
 
 @pytest.fixture(scope="module")
-def outputs(pages, tmp_path_factory):
+def outputs(pages, tmp_path_factory, phase_b_gate):
     outs = {}
-    for name, kw in [("default", {})] + _VARIANTS:
+    out = str(tmp_path_factory.mktemp("ov_default"))
+    kg.run_pipeline(kg.KGConfig(pages_dir=pages, out_dir=out, chunk_files=2))
+    outs["default"] = out
+    for name, cap in _VARIANTS:
         out = str(tmp_path_factory.mktemp(f"ov_{name}"))
-        kg.run_pipeline(
-            kg.KGConfig(pages_dir=pages, out_dir=out, chunk_files=2, **kw)
-        )
+        with phase_b_gate(hot_map_cap=cap) as calls:
+            kg.run_pipeline(
+                kg.KGConfig(pages_dir=pages, out_dir=out, chunk_files=2))
+        assert len(calls) == 1, name  # the distributed side ran
         outs[name] = out
     return outs
 
@@ -76,13 +83,58 @@ def test_openvocab_edges_equal(outputs, variant):
 
 @pytest.mark.parametrize("variant", [v[0] for v in _VARIANTS])
 def test_openvocab_validation_summary_equal(outputs, variant):
-    import json
-
     summaries = []
     for name in ("default", variant):
         with open(os.path.join(outputs[name], "validation-results.json")) as f:
             summaries.append(json.load(f)["summary"])
     assert summaries[0] == summaries[1]
+
+
+def _partial_rows(out: str) -> int:
+    return sum(pq.read_metadata(f).num_rows
+               for f in kg._kind_files(out, "mcount"))
+
+
+def test_gate_constant_is_live(outputs, phase_b_gate):
+    """At exactly the run's mcount partial rows phase B stays on the
+    driver; one row below, it takes the distributed side — with the same
+    graph. Protects DRIVER_MCOUNT_MAX_ROWS from silent drift: phase B must
+    read it at call time, and compare with ``>``."""
+    src = outputs["default"]
+    n = _partial_rows(src)
+    assert 0 < n <= kg.DRIVER_MCOUNT_MAX_ROWS
+    graphs = {}
+    for gate in (n, n - 1):
+        out = os.path.join(os.path.dirname(src), f"gate_{gate}")
+        with phase_b_gate(gate=gate) as calls:
+            kg.merge_runs([src], out)
+        assert len(calls) == (gate < n)
+        graphs[gate] = [_read_dir(os.path.join(out, sub)).sort_by(key)
+                        for sub, key in (("nodes", "entity_id"),
+                                         ("edges", "subj_id"))]
+    for a, b in zip(graphs[n], graphs[n - 1]):
+        assert a.select(sorted(a.column_names)).equals(
+            b.select(sorted(b.column_names)))
+
+
+def test_driver_side_creates_no_dataset(outputs, tmp_path, monkeypatch):
+    """Below the gate phase B runs no Ray Data: the merge is one Arrow
+    group_by on the driver and the edges go through plain tasks."""
+    import ray.data as rd
+
+    made = []
+    orig = rd.Dataset.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "__init__", spy)
+    res = kg.merge_runs([outputs["default"]], str(tmp_path / "merged"))
+    assert res["n_edges"] > 0
+    assert made == []
+    rd.from_items([{"x": 1}])  # control: the spy sees a Dataset being made
+    assert made
 
 
 def test_lookup_join_tiny_input_many_groups(ray_session):

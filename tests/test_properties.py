@@ -25,9 +25,8 @@ from agenticknowledgegraphconstructionsystem_ray.functions.triples import (
     extract_mentions_and_triples,
     scan_mentions_and_triples,
 )
-from agenticknowledgegraphconstructionsystem_ray.stages.canonicalize import (
-    partial_mention_counts,
-)
+from agenticknowledgegraphconstructionsystem_ray.pipelines.kg import merge_mcounts
+from agenticknowledgegraphconstructionsystem_ray.stages.triples import _mcount_table
 
 # -- combiner: any batch split yields the same merged counts ---------------
 
@@ -65,28 +64,23 @@ def test_partial_counts_batchsplit_invariant(rows, n_splits):
         mn=("score", "min"),
     )
 
-    # split into arbitrary batches, combine partials, merge
+    # split into arbitrary batches, emit each batch's mcount partials (as
+    # the extractor does), merge them as phase B's driver side does
     idx = np.linspace(0, len(df), n_splits + 1).astype(int)
     partials = []
     for i in range(n_splits):
         chunk = df.iloc[idx[i] : idx[i + 1]]
         if len(chunk):
-            partials.append(
-                partial_mention_counts(pa.Table.from_pandas(chunk)).to_pandas()
-            )
-    merged = (
-        pd.concat(partials)
-        .groupby("norm_surface")
-        .agg(
-            mentions=("mentions_p", "sum"),
-            links=("links_p", "sum"),
-            perfect=("perfect_p", "sum"),
-            mx=("max_score_p", "max"),
-            mn=("min_score_p", "min"),
-        )
-    )
+            t = pa.Table.from_pandas(chunk, preserve_index=False)
+            partials.append(_mcount_table(t.append_column(
+                "chunk", pa.array([f"{i:05d}"] * t.num_rows))))
+    merged = merge_mcounts(pa.concat_tables(partials)).to_pandas()
+    merged = merged.set_index("norm_surface").rename(columns={
+        "mention_count": "mentions", "link_count": "links",
+        "perfect_links": "perfect", "max_score": "mx", "min_score": "mn"})
+    assert merged.index.is_monotonic_increasing
     pd.testing.assert_frame_equal(
-        naive.sort_index(), merged.sort_index(), check_dtype=False
+        naive.sort_index(), merged, check_dtype=False, check_names=False
     )
 
 

@@ -17,6 +17,7 @@ def test_alias_dict_without_canonical_self_map(ray_session, tmp_path):
     """A user-supplied alias dict maps aliases only — the canonical's own
     normalized surface need not be a key. Previously raised KeyError."""
     import pandas as pd
+    import pyarrow as pa
 
     alias = {"ml": ("Machine Learning", "field")}  # no 'machine learning' key
     counts = pd.DataFrame(
@@ -24,7 +25,8 @@ def test_alias_dict_without_canonical_self_map(ray_session, tmp_path):
         columns=["norm_surface", "mention_count", "link_count",
                  "perfect_links", "max_score", "min_score"],
     )
-    nodes, id_map = build_entity_table(counts, alias)
+    nodes, id_map = build_entity_table(
+        pa.Table.from_pandas(counts, preserve_index=False), alias)
     d = nodes.to_pydict()
     assert d["canonical_name"] == ["Machine Learning", "other"]
     assert d["ent_type"] == ["field", "concept"]

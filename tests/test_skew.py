@@ -155,20 +155,26 @@ def test_kg_parity_under_hot_entity(ray_session, tmp_path):
     assert counts[0] > 0.25 * sum(counts)
 
 
-def test_openvocab_matches_closed_under_hot_entity(ray_session, tmp_path):
-    """The driver-free open-vocab path (distributed counts, hot-map id
-    application, salted lookup join) must stay byte-identical to the
-    closed path ON THE SKEWED CORPUS — the regime where one entity
+def test_openvocab_matches_closed_under_hot_entity(ray_session, tmp_path,
+                                                   phase_b_gate):
+    """Phase B's driver-free side above the gate (distributed counts,
+    hot-map id application, salted lookup join) must stay byte-identical
+    to the driver side ON THE SKEWED CORPUS — the regime where one entity
     dominates the mention mass is exactly what the hot-map/salting
     defenses exist for."""
+    import contextlib
+
     from agenticknowledgegraphconstructionsystem_ray.pipelines import kg
 
     skewed = _skewed_pages(tmp_path, n=400, n_files=4)
     outs = {}
-    for mode, ov in (("closed", False), ("open", True)):
+    for mode in ("closed", "open"):
         out = str(tmp_path / f"kg_{mode}")
-        kg.run_pipeline(kg.KGConfig(pages_dir=skewed, out_dir=out,
-                                    chunk_files=2, open_vocab=ov))
+        gate = phase_b_gate() if mode == "open" else contextlib.nullcontext()
+        with gate as calls:
+            kg.run_pipeline(kg.KGConfig(pages_dir=skewed, out_dir=out,
+                                        chunk_files=2))
+        assert calls is None or len(calls) == 1
         outs[mode] = out
 
     def edges(d):

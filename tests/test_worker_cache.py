@@ -1,5 +1,5 @@
 """runtime.worker_cached — the one per-worker-process cache of broadcast
-state (extractors, id maps, broadcast values, eval grams, bloom filters) —
+state (extractors, broadcast values, eval grams, bloom filters) —
 keeps at most ``keep`` entries per call site, so a long-lived worker
 serving a chain of jobs does not grow by one entry per job."""
 
@@ -18,10 +18,7 @@ from agenticknowledgegraphconstructionsystem_ray.pipelines import (
     curate,
     openvocab,
 )
-from agenticknowledgegraphconstructionsystem_ray.stages import (
-    canonicalize,
-    triples,
-)
+from agenticknowledgegraphconstructionsystem_ray.stages import triples
 from agenticknowledgegraphconstructionsystem_ray.state import bloom
 
 TS = pa.array([datetime.datetime(2024, 1, 1)], pa.timestamp("us"))
@@ -34,26 +31,16 @@ def _live(cls) -> int:
 
 def test_twenty_runs_leave_two_entries_per_stage(ray_session):
     """20 distinct broadcast refs in one process (20 jobs on one worker)
-    leave at most two extractors and two id appliers alive, and the
-    latest run's state is the one served."""
+    leave at most two extractors alive."""
     pages = pa.table({
         "url": ["https://a.example/1"], "warc_ts": TS,
         "text": ["Ada Lovelace founded Acme Corp in London."],
         "lang": ["en"],
     })
-    edges = pa.table({
-        "subj_norm": ["ada"], "pred": ["founded"], "obj_norm": ["acme"],
-        "url": ["https://a.example/1"], "warc_ts": TS,
-        "confidence": ["high"], "context": ["ctx"],
-    })
     for i in range(20):
         alias_ref = ray.put({f"alias{i}": [f"Canon {i}"]})
         triples.extract_records_batch(pages, alias_ref=alias_ref)
-        id_ref = ray.put({"ada": (i, f"ada{i}"), "acme": (100 + i, "acme")})
-        out = canonicalize.apply_ids_batch(edges, id_map_ref=id_ref)
-        assert out["subj_id"].to_pylist() == [i]
     assert _live(triples.TripleExtractor) <= 2
-    assert _live(canonicalize.ApplyEntityIds) <= 2
 
 
 def test_worker_cached_is_lru_per_site():
