@@ -547,20 +547,14 @@ def mentions_dataset(out_dir: str, columns: list[str] | None = None):
 # the parquet footers) are merged on the driver, whose union-find then runs
 # over every distinct surface; above it the counts, the nodes and the edge
 # id application stay distributed (pipelines/openvocab.py). The partial
-# rows grow with chunks x vocabulary; on open-vocabulary web text that
-# product is the phase-B scale killer.
-DRIVER_MCOUNT_MAX_ROWS = 2_000_000
+# rows grow with chunks x vocabulary. The value is the largest count at
+# which the driver side has been measured (3.56M rows of the long-tail
+# page shape on 4 CPUs: 116 s, 3.1 GB driver RSS; tools/gate_crossover.py).
+# At every size measured the distributed side was slower (9-12x at
+# 0.44M and 0.89M rows, over 30 min at 1.75M), so no crossover sets it.
+DRIVER_MCOUNT_MAX_ROWS = 3_500_000
 
-# The merged counts of one norm_surface: (mcount record column, aggregation,
-# output column); MCOUNT_COLUMNS (stages/triples.py) says what each record
-# column holds on an mcount row.
-_COUNT_AGGS = [
-    ("n_in_page", "sum", "mention_count"),
-    ("span_start", "sum", "link_count"),
-    ("span_end", "sum", "perfect_links"),
-    ("score", "max", "max_score"),
-    ("confidence", "min", "min_score"),
-]
+_MCOUNT_READ = ["norm_surface", *MCOUNT_COLUMNS]
 
 
 def merge_mcounts(partials: pa.Table) -> pa.Table:
@@ -568,18 +562,19 @@ def merge_mcounts(partials: pa.Table) -> pa.Table:
     (ONE Arrow group_by), sorted by norm_surface: union-find roots depend
     on row order."""
     g = partials.group_by("norm_surface").aggregate(
-        [(col, op) for col, op, _ in _COUNT_AGGS])
+        [(col, op) for col, (op, _) in MCOUNT_COLUMNS.items()])
     return pa.Table.from_arrays(
-        [g["norm_surface"], *(g[f"{col}_{op}"] for col, op, _ in _COUNT_AGGS)],
-        names=["norm_surface", *(name for *_, name in _COUNT_AGGS)],
+        [g["norm_surface"],
+         *(g[f"{col}_{op}"] for col, (op, _) in MCOUNT_COLUMNS.items())],
+        names=["norm_surface", *(name for _, name in MCOUNT_COLUMNS.values())],
     ).sort_by("norm_surface")
 
 
 def _driver_counts(mcount_files: list[str]) -> pa.Table:
     """The merged counts of every partial, on the driver."""
     return merge_mcounts(pa.concat_tables(
-        [pq.read_table(f, columns=list(MCOUNT_COLUMNS)) for f in mcount_files]
-        or [RECORD_SCHEMA.empty_table().select(list(MCOUNT_COLUMNS))]))
+        [pq.read_table(f, columns=_MCOUNT_READ) for f in mcount_files]
+        or [RECORD_SCHEMA.empty_table().select(_MCOUNT_READ)]))
 
 
 def _distributed_counts_ds(mcount_files: list[str]) -> rd.Dataset:
@@ -589,9 +584,10 @@ def _distributed_counts_ds(mcount_files: list[str]) -> rd.Dataset:
 
     ops = {"sum": agg.Sum, "max": agg.Max, "min": agg.Min}
     return rd.read_parquet(
-        mcount_files, columns=list(MCOUNT_COLUMNS)
+        mcount_files, columns=_MCOUNT_READ
     ).groupby("norm_surface").aggregate(
-        *(ops[op](col, alias_name=name) for col, op, name in _COUNT_AGGS))
+        *(ops[op](col, alias_name=name)
+          for col, (op, name) in MCOUNT_COLUMNS.items()))
 
 
 SAMPLE_ISSUES = 100  # issue rows kept for validation-results.json
@@ -697,9 +693,10 @@ def _map_edges(src, cuts, validate_fn, apply_fn, id_map):
         src = apply_fn(pa.concat_tables(
             [pq.ParquetFile(f).read(columns=TRIPLE_COLUMNS) for f in src],
             promote_options="default"), id_map=id_map)
-    # an empty block may carry no columns at all: it only pads the slices
-    parts = (partition_edges(validate_fn(src), cuts) if src.num_rows
-             else [src] * (len(cuts) + 1))
+    # an empty block only pads the slices. It may carry no columns, and
+    # Ray hands the lookup join's empty outputs on as pandas frames.
+    parts = (partition_edges(validate_fn(src), cuts) if len(src)
+             else [pa.table({})] * (len(cuts) + 1))
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 

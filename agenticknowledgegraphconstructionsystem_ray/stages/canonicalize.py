@@ -379,12 +379,11 @@ def label_propagation_components_driverless(edges, max_rounds: int = 50):
     )
 
 
-def apply_ids_batch(batch: pa.Table, id_map=None) -> pa.Table:
+def apply_ids_batch(batch: pa.Table, *, id_map: dict) -> pa.Table:
     """Triple records -> id-resolved edge rows through the norm ->
     (entity_id, canonical_name) ``id_map``. Phase B passes the map as a
     top-level task argument, so Ray hands each task the broadcast dict
     itself, fetched from the local object store."""
-    id_map = id_map or {}
     return edge_table(batch, lookup_norms(batch["subj_norm"], id_map),
                       lookup_norms(batch["obj_norm"], id_map))
 

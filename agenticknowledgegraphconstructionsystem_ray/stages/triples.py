@@ -81,14 +81,14 @@ RECORD_SCHEMA = pa.schema(RECORD_FIELDS)
 # kind="mcount" rows are BATCH-level mention-count partials (the combiner
 # half of the canonicalization shuffle, emitted at extraction time so phase B
 # reads vocabulary-sized partials instead of re-scanning every mention row).
-# They reuse existing record columns under this mapping:
+# They carry norm_surface and reuse these record columns, each mapped to
+# (how the partials of one norm_surface merge, the merged count column):
 MCOUNT_COLUMNS = {
-    "norm_surface": "norm_surface",
-    "n_in_page": "mentions_p",   # sum of in-page mention counts
-    "span_start": "links_p",     # count of (page, entity) link rows
-    "span_end": "perfect_p",     # count of links with score == 1.0
-    "score": "max_score_p",
-    "confidence": "min_score_p",
+    "n_in_page": ("sum", "mention_count"),   # sum of in-page mention counts
+    "span_start": ("sum", "link_count"),     # count of (page, entity) link rows
+    "span_end": ("sum", "perfect_links"),    # count of links with score == 1.0
+    "score": ("max", "max_score"),
+    "confidence": ("min", "min_score"),
 }
 
 
