@@ -9,7 +9,9 @@ anti-join against manifests, ``state/manifest.py``) run as ONE fused
 streaming execution per commit group:
 
     read_parquet(pending files, include_paths=True)
-      -> map_batches(extract_text_batch)      [drops html; path -> chunk tag]
+      -> map_batches(extract_text_batch)      [html -> text: one columnar
+                                               RE2 kernel per batch; drops
+                                               html; path -> chunk tag]
       -> map_batches(extract_records_batch)   [NER+SVO+linking+confidence;
                                                broadcast alias dict cached
                                                per worker; per-page edge
@@ -806,7 +808,7 @@ def run_phase_b(cfg: KGConfig) -> dict:
         sources = apply_ids_hybrid(
             rd.read_parquet(triple_files, columns=TRIPLE_COLUMNS),
             ov.mapping_ds, ov.hot_map, ov.hot_total,
-        ).to_arrow_refs() if groups else []
+        ).materialize().to_arrow_refs() if groups else []
     else:
         nodes, id_map = build_entity_table(_driver_counts(mcount_files), alias)
         n_nodes = nodes.num_rows

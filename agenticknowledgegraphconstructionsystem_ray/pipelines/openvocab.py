@@ -200,7 +200,7 @@ def build_nodes_openvocab(
         p
         for p in ray.get(
             nodes_ds.map_batches(local_top, batch_format="pyarrow")
-            .to_arrow_refs()
+            .materialize().to_arrow_refs()
         )
         if p.num_rows
     ]

@@ -3,8 +3,11 @@
 Reference analog: the PDF text extractor applied per row
 (``/root/reference/extract_and_populate.py:35-71``). Ray mapping (SURVEY.md
 S4): ``ds.map_batches(extract_text_batch, batch_format="pyarrow")`` —
-stateless task, pure per-row kernel, so output is byte-identical regardless of
-parallelism or batch boundaries.
+stateless task running the columnar kernel
+``functions.html_text.html_to_text_column`` (a chain of RE2 passes over the
+whole ``html`` column). Each row's text depends on that row alone, so output
+is byte-identical regardless of parallelism or batch boundaries, and equal
+to the sequential reference ``html_to_text`` that the oracles run.
 
 The wide ``html`` binary column is DROPPED here, immediately after use, so it
 never flows through the rest of the DAG (SURVEY.md §7.4 "wide rows").
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..functions.html_text import html_to_text
+from ..functions.html_text import html_to_text_column
 
 
 def extract_text_batch(
@@ -23,8 +26,8 @@ def extract_text_batch(
     """pages(url, warc_ts, html, text, lang[, path]) ->
     text_pages(url, warc_ts, text, lang[, chunk]).
 
-    HTML parsing is inherently per-row Python; the batch loop builds Arrow
-    columns once per batch (no per-row Dataset ops).
+    The text column comes from one kernel call over the batch's ``html``
+    column; no per-row Python except ``html.unescape`` on rows with ``&``.
 
     ``path_to_chunk``: optional map from source file path (the ``path``
     column of ``read_parquet(include_paths=True)``) to the lineage chunk
@@ -32,12 +35,10 @@ def extract_text_batch(
     (read -> extract -> records -> write) a single fused task operator
     instead of per-chunk dataset unions that fragment operator fusion.
     """
-    htmls = batch.column("html").to_pylist()
-    texts = [html_to_text(h) for h in htmls]
     arrays = [
         batch.column("url"),
         batch.column("warc_ts"),
-        pa.array(texts, pa.string()),
+        html_to_text_column(batch.column("html")),
         batch.column("lang"),
     ]
     names = ["url", "warc_ts", "text", "lang"]
