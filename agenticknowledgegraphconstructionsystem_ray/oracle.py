@@ -3,8 +3,9 @@
 Runs the pure kernels one page at a time, with no Ray involvement. Triple
 extraction uses the sequential reference kernel
 (``triples.extract_mentions_and_triples``, a loop over every token), not the
-pipeline's document scanner, so a scanner fault shows as a mismatch. The
-conformance reference for:
+pipeline's document scanner, and HTML -> text uses the per-row
+``html_text.html_to_text``, not the stage's column kernel, so a fault in
+either pipeline kernel shows as a mismatch. The conformance reference for:
 - byte-identical extracted ``text`` per ``url`` (reference contract analog:
   ``extract_and_populate.py:47-67``),
 - the golden (subj, pred, obj) triple set for the P/R >= 0.95 check,
