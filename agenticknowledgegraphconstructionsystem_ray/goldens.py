@@ -37,12 +37,14 @@ from .functions.triples import extract_mentions_and_triples, mention_relevance
 from .functions.validate_rules import (
     is_valid,
     should_flag_for_review,
+    validate_entity,
     validate_relationship,
 )
 from .state.unionfind import UnionFind
 
 GOLDEN_ROOT = "/tmp/agkg_golden"
-GOLDEN_VERSION = "48"  # v47: + audio pairs; v48: quantized audio windows
+GOLDEN_VERSION = "49"  # v48: quantized audio windows; v49: entity issues
+                       # from node_issue_rows, not the pipeline's kernel
 
 # The driver's correctness gate always runs at sf0.01; the kg_* oracle SQL
 # strings are pinned to this golden directory.
@@ -168,9 +170,43 @@ def _canonicalize(counts: dict[str, list], alias: dict):
     return rows, id_map
 
 
+def node_issue_rows(nodes: list[dict]) -> list[dict]:
+    """Entity issue rows of node dicts, one node at a time: the sequential
+    reference of ``stages.validate.validate_nodes_table``. E3 runs on the
+    node's score aggregates (max/min score, perfect-score link count)."""
+    rows: list[dict] = []
+    for r in nodes:
+        issues = validate_entity(
+            name=r["canonical_name"],
+            mention_count=r["mention_count"],
+            link_count=r["link_count"],
+            relevance_scores=[],
+        )
+        for s in (r["max_score"], r["min_score"]):
+            if s is not None and (s < 0 or s > 1):
+                issues.append(
+                    {
+                        "severity": "error",
+                        "rule": "invalid_relevance_score",
+                        "message": f"Relevance score {s} is outside valid range [0, 1]",
+                    }
+                )
+        if r["perfect_links"] > 0 and r["mention_count"] == 1:
+            issues.append(
+                {
+                    "severity": "warning",
+                    "rule": "suspicious_perfect_score",
+                    "message": "Relevance 1.0 but concept mentioned in only 1 document - may be overstated",
+                }
+            )
+        for i in issues:
+            rows.append({"domain": "entity", "key": r["canonical_name"], **i})
+    return rows
+
+
 def _compute_kg_golden(pages_dir: str, alias: dict):
     """Full sequential KG run -> dict of pyarrow Tables keyed by artifact."""
-    from .stages.validate import EDGE_RULES, validate_nodes_table
+    from .stages.validate import EDGE_RULES
 
     text_rows: list[dict] = []
     mention_rows: list[dict] = []
@@ -236,8 +272,8 @@ def _compute_kg_golden(pages_dir: str, alias: dict):
         )
     edges.sort(key=lambda e: (e["subj_id"], e["pred"], e["obj_id"], e["url"]))
 
-    # issue rows: entity issues via the shared driver-side rules, edge issues
-    # with the pipeline's static per-rule messages
+    # issue rows: entity issues one node at a time, edge issues with the
+    # pipeline's static per-rule messages
     nodes_table = pa.table(
         {
             "entity_id": pa.array([r["entity_id"] for r in node_rows], pa.int64()),
@@ -251,7 +287,7 @@ def _compute_kg_golden(pages_dir: str, alias: dict):
             "aliases": pa.array([r["aliases"] for r in node_rows], pa.list_(pa.string())),
         }
     )
-    issue_rows = validate_nodes_table(nodes_table).to_pylist()
+    issue_rows = node_issue_rows(node_rows)
     for e in edges:
         key = f'{e["subj_id"]}|{e["pred"]}|{e["obj_id"]}|{e["url"]}'
         for i in e.pop("_issues"):

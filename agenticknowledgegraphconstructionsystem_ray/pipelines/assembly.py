@@ -37,8 +37,8 @@ Tokenization matches ``scoring._TOKEN_RE`` ([a-z0-9]+ over lower(text)) on
 both the Ray and DuckDB sides.
 
 Scale notes (100 TB): the eval-gram set is benchmark-sized (MBs) and
-broadcast; shard assignment and packing each use ONE corpus sort (the same
-dense-rank machinery as ``openvocab``'s id assignment) plus O(blocks)
+broadcast; shard assignment and packing each use ONE corpus sort (dense
+ranks from per-block offsets, ``_with_global_positions``) plus O(blocks)
 driver integers; nothing corpus-sized reaches the driver.
 """
 
@@ -417,7 +417,7 @@ def dd_bloom_decontaminate(sf_dir: str):
 def _with_global_positions(sorted_ds, col_name: str):
     """Append ``col_name`` = 0-based global row position to an already-sorted
     (hence block-ordered) materialized Dataset. Driver traffic is one integer
-    per block — the openvocab dense-rank pattern (openvocab.py:126-153)."""
+    per block: each block's offset is the sum of the row counts before it."""
     refs = sorted_ds.to_arrow_refs()
 
     @ray.remote

@@ -68,8 +68,7 @@ def _attach_i64(
     Exists because Dataset.join's hash aggregators lose the block schema
     when a partition side is empty on this Ray version (ArrowInvalid "no
     match for key field") — tiny, skewed, or iteratively shrinking inputs
-    hit that reliably. Same shape as openvovab.lookup_join / kcore's
-    bucketed anti-join. One all-to-all on the coarse key; a bucket holds
+    hit that reliably. Same shape as kcore's bucketed anti-join. One all-to-all on the coarse key; a bucket holds
     ~rows/n_groups rows plus its slice of the (node-sized) lookup table.
     """
     import numpy as np
@@ -934,7 +933,7 @@ def kcore(edges: "rd.Dataset", k: int = KCORE_K,
       After round 1 the removal set is the per-round peel frontier, which
       is tiny in practice, so this is the common path.
     - larger: a coarse-bucket tag-union groupby anti-join per endpoint
-      (the same shuffle-join shape as openvocab.lookup_join — NOT
+      (the same shuffle-join shape as ``_attach_i64`` — NOT
       Dataset.join, whose hash partitions lose their schema when a side
       is empty on this Ray version, breaking iterated joins on shrinking
       inputs). Nothing node- or edge-sized ever reaches the driver on

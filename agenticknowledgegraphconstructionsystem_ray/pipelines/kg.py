@@ -32,19 +32,16 @@ is an expensive model load rather than a broadcast dict.
 **Phase B — global canonicalization + materialization, idempotent
 overwrite** (reference analog: concept upserts + validation, §3.2-3.4):
 
-    mcount partial rows, summed from the parquet footers, choose the path:
-      <= DRIVER_MCOUNT_MAX_ROWS: ONE Arrow group_by on the driver
-        -> union-find over every surface -> nodes + id map (broadcast);
-        entity issues on the driver
-      >  DRIVER_MCOUNT_MAX_ROWS: Ray groupby -> pipelines/openvocab.py
-        (union-find over alias-relevant surfaces only, singleton nodes and
-        ids distributed, one write task per nodes block with its entity
-        issues) -> edge ids from a hot map + lookup join (apply_ids_hybrid)
+    mcount partial rows -> ONE Arrow group_by on the driver
+      -> is_in(alias-relevant surfaces): union-find over those rows only,
+         every other surface a singleton node built in Arrow
+      -> nodes + Arrow id map (member_norm, entity_id, canonical_name),
+         broadcast once; entity issues on the driver (columnar rules)
     triple files -> P contiguous groups (runtime.file_groups, one per CPU);
     the driver cuts [0, n_nodes) into P equal-width subject-id ranges
-      -> P map tasks: read a group and apply_ids_batch [broadcast id map]
-         (or take one id-resolved block), validate_edges_batch, ONE Arrow
-         sort_by, slice at the cuts
+      -> P map tasks: read a group and apply_ids_batch [broadcast id map,
+         index_in over each batch's unique norms], validate_edges_batch,
+         ONE Arrow sort_by, slice at the cuts
       -> P reduce tasks: range p concatenates its own slices [+ global
          dedup], sort_by, writes edges/<p>.parquet and runs
          edge_issues_batch on the same table -> validation/issues/,
@@ -73,6 +70,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -100,7 +98,6 @@ from ..stages.validate import (
 )
 from ..state import manifest as mf
 from .. import synth
-from .openvocab import apply_ids_hybrid, build_nodes_openvocab
 
 
 @dataclass
@@ -545,17 +542,6 @@ def mentions_dataset(out_dir: str, columns: list[str] | None = None):
     return rd.read_parquet(files, columns=columns)
 
 
-# Phase B's path gate: at most this many mcount partial rows (summed from
-# the parquet footers) are merged on the driver, whose union-find then runs
-# over every distinct surface; above it the counts, the nodes and the edge
-# id application stay distributed (pipelines/openvocab.py). The partial
-# rows grow with chunks x vocabulary. The value is the largest count at
-# which the driver side has been measured (3.56M rows of the long-tail
-# page shape on 4 CPUs: 116 s, 3.1 GB driver RSS; tools/gate_crossover.py).
-# At every size measured the distributed side was slower (9-12x at
-# 0.44M and 0.89M rows, over 30 min at 1.75M), so no crossover sets it.
-DRIVER_MCOUNT_MAX_ROWS = 3_500_000
-
 _MCOUNT_READ = ["norm_surface", *MCOUNT_COLUMNS]
 
 
@@ -579,69 +565,28 @@ def _driver_counts(mcount_files: list[str]) -> pa.Table:
         or [RECORD_SCHEMA.empty_table().select(_MCOUNT_READ)]))
 
 
-def _distributed_counts_ds(mcount_files: list[str]) -> rd.Dataset:
-    """The merged counts as a DATASET: the partial rows read distributed
-    and reduced by a Ray groupby to one row per norm_surface."""
-    from ray.data import aggregate as agg
-
-    ops = {"sum": agg.Sum, "max": agg.Max, "min": agg.Min}
-    return rd.read_parquet(
-        mcount_files, columns=_MCOUNT_READ
-    ).groupby("norm_surface").aggregate(
-        *(ops[op](col, alias_name=name)
-          for col, (op, name) in MCOUNT_COLUMNS.items()))
-
-
 SAMPLE_ISSUES = 100  # issue rows kept for validation-results.json
 
 
-def _write_checked(t, path: str, issues_fn, issues_path: str,
-                   sample_rows: int = 0) -> dict:
-    """Write ``t`` (None or empty: nothing) to ``path`` and its
-    ``issues_fn`` rows to ``issues_path`` (no file when there are none);
-    return the row count, the (severity, rule) counts and the first
-    ``sample_rows`` issue rows."""
-    if t is None or not t.num_rows:
-        return {"rows": 0, "counts": [], "sample": []}
+def _write_checked(t: pa.Table, path: str, issues_fn,
+                   issues_path: str) -> dict:
+    """Write ``t`` (empty: nothing) to ``path`` and its ``issues_fn`` rows
+    to ``issues_path`` (no file when there are none); return the row count
+    and the (severity, rule) counts."""
+    if not t.num_rows:
+        return {"rows": 0, "counts": []}
     pq.write_table(t, path, compression="zstd")
     issues = issues_fn(t)
     if issues.num_rows:
         pq.write_table(issues, issues_path, compression="zstd")
     return {"rows": t.num_rows,
-            "counts": issue_count_batch(issues).to_pylist(),
-            "sample": issues.slice(0, sample_rows).to_pylist()}
+            "counts": issue_count_batch(issues).to_pylist()}
 
 
 def _tally(counts: Counter, rows: list[dict]) -> None:
     """Add issue_count_batch rows into a (severity, rule) Counter."""
     for r in rows:
         counts[(r["severity"], r["rule"])] += r["n"]
-
-
-_write_checked_task = ray.remote(_write_checked)
-
-
-def _write_nodes_blocks(refs: list, nodes_dir: str, issues_tmp: str,
-                        counts: Counter) -> list[dict]:
-    """One write task per nodes block: block ``i`` as ``<i:06d>.parquet``
-    and its validate_nodes_table rows as ``entity-<i:06d>.parquet`` in
-    ``issues_tmp`` (``_write_checked``). Adds the issue counts into
-    ``counts`` and returns the first SAMPLE_ISSUES issue rows in block
-    order."""
-    tmp = nodes_dir + ".tmp"
-    mf.clear_stale_tmp(tmp)
-    os.makedirs(tmp)
-    written = ray.get([
-        _write_checked_task.remote(
-            ref, os.path.join(tmp, f"{i:06d}.parquet"), validate_nodes_table,
-            os.path.join(issues_tmp, f"entity-{i:06d}.parquet"),
-            SAMPLE_ISSUES)
-        for i, ref in enumerate(refs)
-    ])
-    mf.atomic_replace_dir(tmp, nodes_dir)
-    for w in written:
-        _tally(counts, w["counts"])
-    return [r for w in written for r in w["sample"]][:SAMPLE_ISSUES]
 
 
 # The edges' file order: every edge file is sorted by this key and holds
@@ -685,20 +630,16 @@ def merge_edge_slices(slices: list[pa.Table], dedup: bool) -> pa.Table:
 
 
 @ray.remote
-def _map_edges(src, cuts, validate_fn, apply_fn, id_map):
-    """Map task: one file group of triple records (ids applied here from
-    ``id_map``, which Ray resolves from the driver's broadcast ref) or one
-    id-resolved block, validated and cut into sorted range slices. Files
-    are read with ``ParquetFile``: ``pq.read_table`` would load pyarrow's
-    dataset and Acero modules (~40 MB RSS) into the worker."""
-    if apply_fn is not None:
-        src = apply_fn(pa.concat_tables(
-            [pq.ParquetFile(f).read(columns=TRIPLE_COLUMNS) for f in src],
-            promote_options="default"), id_map=id_map)
-    # an empty block only pads the slices. It may carry no columns, and
-    # Ray hands the lookup join's empty outputs on as pandas frames.
-    parts = (partition_edges(validate_fn(src), cuts) if len(src)
-             else [pa.table({})] * (len(cuts) + 1))
+def _map_edges(files, cuts, validate_fn, apply_fn, id_map):
+    """Map task: one file group of triple records, ids applied here from
+    ``id_map`` (which Ray resolves from the driver's broadcast ref),
+    validated and cut into sorted range slices. Files are read with
+    ``ParquetFile``: ``pq.read_table`` would load pyarrow's dataset and
+    Acero modules (~40 MB RSS) into the worker."""
+    edges = apply_fn(pa.concat_tables(
+        [pq.ParquetFile(f).read(columns=TRIPLE_COLUMNS) for f in files],
+        promote_options="default"), id_map=id_map)
+    parts = partition_edges(validate_fn(edges), cuts)
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
@@ -710,14 +651,13 @@ def _reduce_edges(dedup: bool, path: str, issues_fn, issues_path: str,
                           issues_fn, issues_path)
 
 
-def _finalize_edges(sources: list, n_parts: int, n_nodes: int,
-                    edges_dir: str, issues_tmp: str, cfg: KGConfig,
-                    id_ref=None) -> tuple[int, Counter]:
-    """Shared edge materialization, with no Ray shuffle. ``sources`` are
-    triple-record file groups whose ids the map tasks apply from the
-    broadcast ``id_ref``, or (``id_ref`` None) refs of id-resolved edge
-    blocks. One map task per source validates it and cuts it into
-    ``n_parts`` sorted subject-id ranges. One reduce task per range merges
+def _finalize_edges(groups: list, n_nodes: int, edges_dir: str,
+                    issues_tmp: str, cfg: KGConfig,
+                    id_ref) -> tuple[int, Counter]:
+    """Edge materialization, with no Ray shuffle. One map task per
+    triple-record file group applies the ids from the broadcast
+    ``id_ref``, validates the edges and cuts them into ``n_parts`` =
+    len(groups) sorted subject-id ranges. One reduce task per range merges
     only its own slices (with the exact dedup, D4 db_init.py:128, when
     cfg.global_edge_dedup: re-crawled urls), writes them as
     ``<p:06d>.parquet`` (file order = edge order) and their
@@ -725,15 +665,15 @@ def _finalize_edges(sources: list, n_parts: int, n_nodes: int,
     Data write measured 0.03 s slower per job). Returns the edge count
     and the summed (severity, rule) counts. A hot subject's edges all
     land in one range (SCALE.md)."""
+    n_parts = len(groups)
     cuts = subject_cuts(n_nodes, n_parts)
     # the kernels are read from this module's attributes here, on the
     # driver, so a wrapper installed there (the benchmark's span) is the
     # one the tasks run
-    apply_fn = apply_ids_batch if id_ref is not None else None
     mapped = [
         _map_edges.options(num_returns=n_parts).remote(
-            src, cuts, validate_edges_batch, apply_fn, id_ref)
-        for src in sources
+            files, cuts, validate_edges_batch, apply_ids_batch, id_ref)
+        for files in groups
     ]
     if n_parts == 1:
         mapped = [[m] for m in mapped]
@@ -757,11 +697,9 @@ def _finalize_edges(sources: list, n_parts: int, n_nodes: int,
 
 def run_phase_b(cfg: KGConfig) -> dict:
     """Global canonicalization + dedup + validate + materialize. The mcount
-    partial rows (parquet footers) choose the path: at most
-    DRIVER_MCOUNT_MAX_ROWS are merged on the driver, which builds every
-    node and broadcasts the full id map; above it the counts, nodes and
-    edge ids stay distributed (pipelines/openvocab.py). Both paths write
-    the same outputs (nodes may span several files above the gate)."""
+    partial rows are merged on the driver, which builds every node
+    (union-find over the alias-relevant surfaces only) and broadcasts the
+    Arrow id map once to the edge map tasks."""
     t0 = since = time.perf_counter()
     timings: dict[str, float] = {}
 
@@ -779,60 +717,41 @@ def run_phase_b(cfg: KGConfig) -> dict:
     # canonicalization shuffle), so the merge input is bounded by
     # batches x vocabulary, NOT by corpus size
     mcount_files = _kind_files(src_dirs, "mcount")
-    n_partials = sum(pq.read_metadata(f).num_rows for f in mcount_files)
     triple_files = _kind_files(src_dirs, "triple")
     groups = file_groups(triple_files) if triple_files else []
     nodes_dir = os.path.join(out, "nodes")
 
-    # ---- validation report (S8 analog): entity issues are written beside
-    # the nodes, relationship issues by the edge write tasks
-    # (_finalize_edges); only (severity, rule) counts and a sample reach
-    # the driver for the JSON summary
+    # ---- validation report (S8 analog): entity issues are written by the
+    # driver, relationship issues by the edge write tasks
+    # (_finalize_edges), which send only (severity, rule) counts back for
+    # the JSON summary
     issues_dir = os.path.join(out, "validation", "issues")
     tmpi = issues_dir + ".tmp"
     mf.clear_stale_tmp(tmpi)
     os.makedirs(tmpi, exist_ok=True)
     by_rule_sev: Counter = Counter()
 
-    if n_partials > DRIVER_MCOUNT_MAX_ROWS:
-        ov = build_nodes_openvocab(_distributed_counts_ds(mcount_files), alias)
-        n_nodes = ov.n_nodes
-        sample = _write_nodes_blocks(ov.nodes_ds.to_arrow_refs(), nodes_dir,
-                                     tmpi, by_rule_sev)
-        # top-1000 summary reuses the per-block top-k combiner result that
-        # also feeds the hot map — no second vocabulary-wide sort
-        _write_nodes_summary_csv(ov.top_tbl.slice(0, 1000),
-                                 os.path.join(out, "nodes_summary.csv"))
-        _mark("counts_unionfind_s")
-        nodes, id_ref = None, None  # entity issues written per block above
-        sources = apply_ids_hybrid(
-            rd.read_parquet(triple_files, columns=TRIPLE_COLUMNS),
-            ov.mapping_ds, ov.hot_map, ov.hot_total,
-        ).materialize().to_arrow_refs() if groups else []
-    else:
-        nodes, id_map = build_entity_table(_driver_counts(mcount_files), alias)
-        n_nodes = nodes.num_rows
-        _mark("counts_unionfind_s")
-        _write_atomic_table(nodes, nodes_dir)
-        _write_nodes_summary_csv(nodes, os.path.join(out, "nodes_summary.csv"))
-        sources, id_ref = groups, ray.put(id_map)
+    nodes, id_map = build_entity_table(_driver_counts(mcount_files), alias)
+    n_nodes = nodes.num_rows
+    _mark("counts_unionfind_s")
+    _write_atomic_table(nodes, nodes_dir)
+    _write_nodes_summary_csv(nodes, os.path.join(out, "nodes_summary.csv"))
 
     # ---- edges: id-apply + validation + range-partitioned sort ----
     edges_dir = os.path.join(out, "edges")
     n_edges = 0
     if groups:
         n_edges, edge_counts = _finalize_edges(
-            sources, len(groups), n_nodes, edges_dir, tmpi, cfg, id_ref=id_ref)
+            groups, n_nodes, edges_dir, tmpi, cfg, ray.put(id_map))
         by_rule_sev.update(edge_counts)
         _mark("edges_s")
     else:
         os.makedirs(edges_dir, exist_ok=True)
 
-    if nodes is not None:
-        entity_issues = validate_nodes_table(nodes)
-        pq.write_table(entity_issues, os.path.join(tmpi, "entity-issues.parquet"))
-        _tally(by_rule_sev, issue_count_batch(entity_issues).to_pylist())
-        sample = entity_issues.slice(0, SAMPLE_ISSUES).to_pylist()
+    entity_issues = validate_nodes_table(nodes)
+    pq.write_table(entity_issues, os.path.join(tmpi, "entity-issues.parquet"))
+    _tally(by_rule_sev, issue_count_batch(entity_issues).to_pylist())
+    sample = entity_issues.slice(0, SAMPLE_ISSUES).to_pylist()
     mf.atomic_replace_dir(tmpi, issues_dir)
     _mark("issues_s")
     return _report(out, by_rule_sev, sample, n_nodes, n_edges, t0, timings)
@@ -863,19 +782,19 @@ def _write_nodes_summary_csv(nodes: pa.Table, path: str) -> None:
     M11 field cleaning ``title.replace(',',';').replace('\\n',' ')``)."""
     from ..functions.cleaning import csv_clean
 
-    top = (
-        nodes.select(["entity_id", "canonical_name", "ent_type", "mention_count"])
-        .to_pandas()
-        .sort_values(["mention_count", "entity_id"], ascending=[False, True])
-        .head(1000)
-    )
+    keys = [("mention_count", "descending"), ("entity_id", "ascending")]
+    top = nodes.select(["entity_id", "canonical_name", "ent_type",
+                        "mention_count"])
+    if top.num_rows:
+        top = top.take(pc.select_k_unstable(
+            top, k=min(1000, top.num_rows), sort_keys=keys)).sort_by(keys)
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         f.write("entity_id,canonical_name,ent_type,mention_count\n")
-        for r in top.itertuples(index=False):
+        for r in top.to_pylist():
             f.write(
-                f"{r.entity_id},{csv_clean(r.canonical_name)},"
-                f"{r.ent_type},{r.mention_count}\n"
+                f"{r['entity_id']},{csv_clean(r['canonical_name'])},"
+                f"{r['ent_type']},{r['mention_count']}\n"
             )
     os.replace(tmp, path)
 

@@ -13,23 +13,26 @@ reference, re-expressed as a two-level aggregation:
    combiner — this is what defeats Zipf-head skew: a head entity
    contributes at most one row per batch to the merge, the same effect as
    salting the groupby key, without a second merge pass);
-3. phase B merges those partials with one ``group_by("norm_surface")``:
-   an Arrow one on the driver while the partial rows stay at or below
-   ``pipelines.kg.DRIVER_MCOUNT_MAX_ROWS``, a Ray groupby above it
-   (``pipelines.kg.run_phase_b``).
+3. phase B merges those partials with one Arrow ``group_by("norm_surface")``
+   on the driver (``pipelines.kg.run_phase_b``).
 
 Entity merging (alias long-form <-> acronym) runs on the DRIVER over the
-distinct-surface table (above the gate, over its alias-relevant rows
-only: pipelines/openvocab.py), which is bounded by vocabulary size, not
-corpus size. A dict union-find (state/unionfind.py) links each alias to its
-canonical's norm; then ONE columnar pass tags every counts row with its
-component root and ``group_by(root)`` sums the counts, takes the score
-max/min and lists the aliases — no per-component Python loop. The reference
-lists this disambiguation as future work (``README.md:1442-1444``).
+distinct-surface table. Only alias-relevant surfaces (alias keys and the
+canonical names' own norms, ``alias_relevant_set``) can ever be unioned, so
+one ``is_in`` splits the counts: a dict union-find (state/unionfind.py) runs
+over the relevant rows only and links each alias to its canonical's norm,
+then ONE columnar pass tags those rows with their component root and
+``group_by(root)`` sums the counts, takes the score max/min and lists the
+aliases. Every other surface is a one-member node built in Arrow. The id
+map is an Arrow table too, applied to the edges with ``index_in``. No
+per-surface or per-component Python loop runs outside the alias-relevant
+rows. The reference lists this disambiguation as future work
+(``README.md:1442-1444``).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -50,22 +53,35 @@ NODES_SCHEMA = pa.schema(
     ]
 )
 
+# member norm -> (entity_id, canonical_name): every observed norm plus the
+# unseen canonical norms of merged components
+ID_MAP_SCHEMA = pa.schema([("member_norm", pa.string()),
+                           ("entity_id", pa.int64()),
+                           ("canonical_name", pa.string())])
 
-# node columns before entity ids are assigned, and the per-component
-# aggregations that fill ENTITY_SCHEMA's columns after name and type
-ENTITY_SCHEMA = pa.schema([f for f in NODES_SCHEMA if f.name != "entity_id"])
+# node columns before entity ids are assigned, plus each row's component
+# root (the tie-break between equal names), and the per-component
+# aggregations that fill the columns after name and type
+_ROWS_SCHEMA = pa.schema([*(f for f in NODES_SCHEMA if f.name != "entity_id"),
+                          ("root", pa.string())])
 _COMPONENT_AGGS = [
     ("mention_count", "sum"), ("link_count", "sum"), ("perfect_links", "sum"),
     ("max_score", "max"), ("min_score", "min"), ("norm_surface", "list"),
 ]
 
 
+def alias_relevant_set(alias: dict[str, tuple[str, str]]) -> set[str]:
+    """Surfaces union-find can involve: alias keys plus each canonical
+    name's own normalized surface (union targets)."""
+    return set(alias) | {norm_surface(v[0]) for v in alias.values()}
+
+
 def component_table(
     counts: pa.Table, alias: dict[str, tuple[str, str]]
 ) -> tuple[pa.Table, dict[str, int]]:
-    """Union-find + one columnar aggregation -> (node rows without entity
-    ids, ordered by (canonical_name, component root); member norm -> row
-    index for every member, unseen canonical norms included).
+    """Union-find + one columnar aggregation -> (one row per component,
+    ``_ROWS_SCHEMA``; member norm -> row index for every member, unseen
+    canonical norms included).
 
     ``canonical_name``/``ent_type`` are the smallest alias canonical/type
     among the members (else ``"concept"``); a component with no alias
@@ -110,32 +126,75 @@ def component_table(
             *(g[f"{col}_{op}"] for col, op in _COMPONENT_AGGS),
             g["root"],
         ],
-        names=[*ENTITY_SCHEMA.names, "root"],
-    ).sort_by([("canonical_name", "ascending"), ("root", "ascending")])
+        names=_ROWS_SCHEMA.names,
+    )
 
     # every component holds an observed norm: union-find is seeded from them
-    row_of_root = {r: i for i, r in enumerate(g["root"].to_pylist())}
-    row_of = {m: row_of_root[r] for m, r in root_of.items()}
-    return g.drop_columns(["root"]).cast(ENTITY_SCHEMA), row_of
+    row_of_root = {r: i for i, r in enumerate(roots)}
+    return g.cast(_ROWS_SCHEMA), {m: row_of_root[r] for m, r in root_of.items()}
+
+
+def _singleton_rows(counts: pa.Table) -> pa.Table:
+    """One ``_ROWS_SCHEMA`` row per counts row, each its own component:
+    named by its norm, type ``concept``, aliases ``[norm]``, root = norm."""
+    norms = counts["norm_surface"].combine_chunks()
+    n = len(norms)
+    return pa.Table.from_arrays(
+        [
+            norms, pa.repeat("concept", n),
+            counts["mention_count"], counts["link_count"],
+            counts["perfect_links"],
+            # a one-row group's max/min as Arrow's hash aggregate gives it
+            # (NaN -> -inf/+inf, null stays null)
+            pc.max_element_wise(counts["max_score"], float("-inf"),
+                                skip_nulls=False),
+            pc.min_element_wise(counts["min_score"], float("inf"),
+                                skip_nulls=False),
+            pa.ListArray.from_arrays(
+                pa.array(np.arange(n + 1, dtype=np.int32)), norms),
+            norms,
+        ],
+        names=_ROWS_SCHEMA.names,
+    ).cast(_ROWS_SCHEMA)
 
 
 def build_entity_table(
     counts: pa.Table, alias: dict[str, tuple[str, str]]
-) -> tuple[pa.Table, dict[str, tuple[int, str]]]:
-    """Driver-side union-find merge -> (nodes table, norm -> (entity_id,
-    canonical_name) map).
+) -> tuple[pa.Table, pa.Table]:
+    """Driver-side union-find merge -> (nodes table, ``ID_MAP_SCHEMA`` id
+    map).
 
     ``counts`` columns: norm_surface, mention_count, link_count,
     perfect_links, max_score, min_score (already merged across blocks).
-    Deterministic: entity ids are the dense rank of sorted canonical names.
+    Only the alias-relevant rows go through ``component_table``; every
+    other row is a singleton node (``_singleton_rows``). Deterministic:
+    entity ids are the dense rank of (canonical name, component root).
     """
-    rows, row_of = component_table(counts, alias)
-    names = rows["canonical_name"].to_pylist()
-    nodes = rows.add_column(
-        0, NODES_SCHEMA.field("entity_id"),
-        pa.array(range(rows.num_rows), pa.int64()),
-    )
-    return nodes, {m: (i, names[i]) for m, i in row_of.items()}
+    relevant = pc.is_in(
+        counts["norm_surface"],
+        value_set=pa.array(sorted(alias_relevant_set(alias)), pa.string()))
+    merged, row_of = component_table(counts.filter(relevant), alias)
+    rows = pa.concat_tables(
+        [merged, _singleton_rows(counts.filter(pc.invert(relevant)))])
+    order = pc.sort_indices(
+        rows, [("canonical_name", "ascending"), ("root", "ascending")])
+    n = rows.num_rows
+    nodes = rows.take(order).drop_columns(["root"]).add_column(
+        0, NODES_SCHEMA.field("entity_id"), pa.array(np.arange(n)))
+    # row -> entity id; the id map's rows are the merged components'
+    # members, then the singletons (rows merged.num_rows .. n-1, each
+    # the root of its own component)
+    entity_of = np.empty(n, np.int64)
+    entity_of[order.to_numpy()] = np.arange(n)
+    src = np.concatenate([np.fromiter(row_of.values(), np.int64, len(row_of)),
+                          np.arange(merged.num_rows, n)])
+    id_map = pa.Table.from_arrays(
+        [pa.concat_arrays([pa.array(list(row_of), pa.string()),
+                           rows["root"].slice(merged.num_rows).combine_chunks()]),
+         pa.array(entity_of[src]),
+         rows["canonical_name"].take(src).combine_chunks()],
+        schema=ID_MAP_SCHEMA)
+    return nodes.combine_chunks(), id_map
 
 
 EDGE_COLUMNS = ["subj_id", "pred", "obj_id", "subj", "obj",
@@ -143,19 +202,18 @@ EDGE_COLUMNS = ["subj_id", "pred", "obj_id", "subj", "obj",
 
 
 def lookup_norms(
-    col: pa.ChunkedArray, id_map: dict[str, tuple[int, str]]
+    col: pa.ChunkedArray, id_map: pa.Table
 ) -> tuple[pa.Array, pa.Array]:
-    """(entity ids, names) of a norm column through ``id_map``, with the
-    ``(-1, norm)`` unknown sentinel for a miss. Dictionary-encodes the
-    column (Zipf-heavy: few uniques per batch) and maps only the
-    DICTIONARY, then takes — per-row Python cost is O(uniques), not
-    O(rows)."""
+    """(entity ids, names) of a norm column through the ``ID_MAP_SCHEMA``
+    ``id_map``, with the ``(-1, norm)`` unknown sentinel for a miss.
+    Dictionary-encodes the column (Zipf-heavy: few uniques per batch) and
+    resolves only the DICTIONARY with one ``index_in``, then takes."""
     enc = pc.dictionary_encode(col.combine_chunks())
     if isinstance(enc, pa.ChunkedArray):
         enc = enc.combine_chunks()
-    hits = [id_map.get(u, (-1, u)) for u in enc.dictionary.to_pylist()]
-    ids = pa.array([h[0] for h in hits], pa.int64())
-    names = pa.array([h[1] for h in hits], pa.string())
+    at = pc.index_in(enc.dictionary, value_set=id_map["member_norm"])
+    ids = pc.fill_null(pc.take(id_map["entity_id"], at), -1)
+    names = pc.coalesce(pc.take(id_map["canonical_name"], at), enc.dictionary)
     return pc.take(ids, enc.indices), pc.take(names, enc.indices)
 
 
@@ -170,102 +228,11 @@ def edge_table(t: pa.Table, subj, obj) -> pa.Table:
     )
 
 
-def label_propagation_components(
-    edges, max_rounds: int = 50
-):
-    """Distributed connected components via iterated min-label propagation —
-    the documented fallback for alias-edge sets too large for driver-side
-    union-find (see state/unionfind.py).
-
-    ``edges``: ray Dataset with string columns (a, b). Returns
-    {node -> component_label} where the label is the lexicographically
-    smallest member, identical to UnionFind's representative choice.
-
-    Each round: every node takes the min label over itself and its
-    neighbors (one groupby per round, O(diameter) rounds — alias chains are
-    short, so convergence is fast). The per-round state is the (node, label)
-    assignment, corpus-vocabulary-sized.
-
-    NOTE: this implementation relieves the driver of the EDGE set (which
-    stays distributed) but still broadcasts the node->label map each round,
-    so the node set must fit in memory; a fully driverless variant would
-    propagate labels via a distributed join of (edges x labels) instead of
-    the broadcast dict.
-    """
-    import ray.data as rd
-    from ray.data.aggregate import Min
-
-    def explode(t: pa.Table) -> pa.Table:
-        # undirected: each edge contributes candidate labels both ways,
-        # plus self-labels so isolated endpoints keep their own label
-        a = t.column("a")
-        b = t.column("b")
-        return pa.table(
-            {
-                "node": pa.concat_arrays(
-                    [a.combine_chunks(), b.combine_chunks(),
-                     a.combine_chunks(), b.combine_chunks()]
-                ),
-                "label": pa.concat_arrays(
-                    [b.combine_chunks(), a.combine_chunks(),
-                     a.combine_chunks(), b.combine_chunks()]
-                ),
-            }
-        )
-
-    edge_rows = edges.materialize()  # reused every round
-    labels = (
-        edge_rows.map_batches(explode, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Min("label", alias_name="label"))
-        .materialize()
-    )
-
-    ldf = labels.to_pandas()
-    for _ in range(max_rounds):
-        label_map = dict(zip(ldf["node"], ldf["label"]))
-        import ray as _ray
-
-        ref = _ray.put(label_map)
-
-        def relabel(t: pa.Table, _ref=ref) -> pa.Table:
-            import ray as _r
-
-            m = _r.get(_ref)
-            a = t.column("a").to_pylist()
-            b = t.column("b").to_pylist()
-            return pa.table(
-                {
-                    "node": a + b,
-                    "label": [m[x] for x in b] + [m[x] for x in a],
-                }
-            )
-
-        # candidate labels: own current label + neighbors' current labels
-        own = labels
-        prop = edge_rows.map_batches(relabel, batch_format="pyarrow")
-        new_labels = (
-            own.union(prop)
-            .groupby("node")
-            .aggregate(Min("label", alias_name="label"))
-            .materialize()
-        )
-        new_df = new_labels.to_pandas()
-        converged = new_df.equals(ldf)
-        ldf = new_df
-        if converged:
-            break
-
-    return dict(zip(ldf["node"], ldf["label"]))
-
-
 def label_propagation_components_driverless(edges, max_rounds: int = 50):
     """Fully driverless connected components: min-label propagation where
     BOTH the edge set and the per-round (node, label) assignment stay
-    distributed — labels are joined to edges via a groupby on the node key
-    (the broadcast-dict variant above ships the whole node->label map to
-    every task each round, so its node set must fit in one heap; this one
-    has no such bound).
+    distributed — labels are joined to edges via a groupby on the node key,
+    so neither the node set nor the edge set has to fit in one heap.
 
     Per round: union(edge rows keyed by each endpoint, label rows keyed by
     node) -> groupby(node key) attaches the key's current label to each
@@ -276,7 +243,8 @@ def label_propagation_components_driverless(edges, max_rounds: int = 50):
 
     Returns the converged label assignment as a Dataset (node, label); the
     caller decides whether that fits on the driver. Labels equal the
-    lexicographically smallest reachable member, matching UnionFind.
+    lexicographically smallest reachable member, the first member of the
+    component in ``UnionFind.components()``.
     """
     import ray.data as rd
     from ray.data.aggregate import Count, Min
@@ -379,11 +347,11 @@ def label_propagation_components_driverless(edges, max_rounds: int = 50):
     )
 
 
-def apply_ids_batch(batch: pa.Table, *, id_map: dict) -> pa.Table:
-    """Triple records -> id-resolved edge rows through the norm ->
-    (entity_id, canonical_name) ``id_map``. Phase B passes the map as a
-    top-level task argument, so Ray hands each task the broadcast dict
-    itself, fetched from the local object store."""
+def apply_ids_batch(batch: pa.Table, *, id_map: pa.Table) -> pa.Table:
+    """Triple records -> id-resolved edge rows through the
+    ``ID_MAP_SCHEMA`` ``id_map``. Phase B passes the map as a top-level
+    task argument, so Ray hands each task the broadcast table itself,
+    read zero-copy from the local object store."""
     return edge_table(batch, lookup_norms(batch["subj_norm"], id_map),
                       lookup_norms(batch["obj_norm"], id_map))
 

@@ -22,7 +22,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.html_text import WS_CHARS
 from ..functions.validate_rules import (
+    GENERIC_TERMS,
     PLACEHOLDER_EXPLANATION,
     TYPE_KEYWORDS,
     validate_entity,
@@ -178,40 +180,81 @@ def issue_count_batch(t: pa.Table) -> pa.Table:
     )
 
 
+# what ``str.strip`` removes: Python's ``str.isspace`` set, as an RE2 class
+_STRIP_CLASS = "".join(f"\\x{{{ord(c):x}}}" for c in "\n" + WS_CHARS)
+# Name-rule candidates, a superset of the names the rules can hit: a name
+# whose ``lower().strip()`` is a generic term contains it under RE2's
+# Unicode case folding (which folds the Kelvin sign to "k", as
+# ``str.lower`` does); one whose stripped length is outside [2, 100] has
+# a raw length outside it or a leading/trailing ``str.isspace`` char.
+_GENERIC_RX = "(?i)" + "|".join(re.escape(t) for t in sorted(GENERIC_TERMS))
+_PADDED_RX = rf"^[{_STRIP_CLASS}]|[{_STRIP_CLASS}]$"
+_PERFECT_MSG = ("Relevance 1.0 but concept mentioned in only 1 document - "
+                "may be overstated")
+
+
+def _rows(mask) -> np.ndarray:
+    """Row indices where ``mask`` is true (null counts as false)."""
+    return np.flatnonzero(pc.fill_null(mask, False).to_numpy())
+
+
 def validate_nodes_table(nodes: pa.Table) -> pa.Table:
-    """Entity rules over the canonicalized nodes table (driver-side; nodes is
-    small by construction). E3's per-link scan is replaced by the exact
-    aggregates carried on nodes (max/min score, perfect-score link count) —
-    same issues, no second pass over mentions."""
-    rows: list[dict] = []
-    for r in nodes.to_pylist():
-        issues = validate_entity(
-            name=r["canonical_name"],
-            mention_count=r["mention_count"],
-            link_count=r["link_count"],
-            relevance_scores=[],
-        )
-        # E3 via aggregates: out-of-range + suspicious perfect
-        for s in (r["max_score"], r["min_score"]):
-            if s is not None and (s < 0 or s > 1):
-                issues.append(
-                    {
-                        "severity": "error",
-                        "rule": "invalid_relevance_score",
-                        "message": f"Relevance score {s} is outside valid range [0, 1]",
-                    }
-                )
-        if r["perfect_links"] > 0 and r["mention_count"] == 1:
-            issues.append(
-                {
-                    "severity": "warning",
-                    "rule": "suspicious_perfect_score",
-                    "message": "Relevance 1.0 but concept mentioned in only 1 document - may be overstated",
-                }
-            )
-        for i in issues:
-            rows.append({"domain": "entity", "key": r["canonical_name"], **i})
-    return _issues_table(rows)
+    """Entity rules over the canonicalized nodes table: one issue row per
+    (node, triggered rule), in node order, then rule order within a node.
+    E3's per-link scan is replaced by the exact aggregates carried on nodes
+    (max/min score, perfect-score link count) — same issues, no second pass
+    over mentions.
+
+    The numeric rules are Arrow masks. The name rules run
+    ``validate_entity`` itself, keeping Python's ``str.strip``/
+    ``str.lower`` semantics, on the candidate names Arrow selects only.
+    Messages are formatted for the hits only. ``goldens.node_issue_rows``
+    is the per-row reference."""
+    name, mc = nodes["canonical_name"], nodes["mention_count"]
+    lc = nodes["link_count"]
+    length = pc.utf8_length(name)
+    cand = pc.or_(
+        pc.or_(pc.less(length, 2), pc.greater(length, 100)),
+        pc.or_(pc.match_substring_regex(name, _PADDED_RX),
+               pc.match_substring_regex(name, _GENERIC_RX)))
+    # (node index, severity, rule, message) per hit, added in rule order:
+    # validate_entity's name rules, E4, then E3 through the aggregates
+    node, sev, rule, msg = [], [], [], []
+
+    def hits(rows: np.ndarray, severity: str, rule_id: str,
+             messages) -> None:
+        node.append(rows)
+        sev.extend([severity] * len(rows))
+        rule.extend([rule_id] * len(rows))
+        msg.extend(messages)
+
+    for i in _rows(cand):
+        for issue in validate_entity(name[int(i)].as_py(), 0, 0, []):
+            hits(np.array([i]), issue["severity"], issue["rule"],
+                 [issue["message"]])
+    rows = _rows(pc.less(mc, lc))
+    hits(rows, "warning", "mention_count_mismatch",
+         [f"Mention count ({m}) < document links ({n})" for m, n in zip(
+             mc.take(rows).to_pylist(), lc.take(rows).to_pylist())])
+    for col in ("max_score", "min_score"):
+        s = nodes[col]
+        rows = _rows(pc.or_(pc.less(s, 0), pc.greater(s, 1)))
+        hits(rows, "error", "invalid_relevance_score",
+             [f"Relevance score {v} is outside valid range [0, 1]"
+              for v in s.take(rows).to_pylist()])
+    rows = _rows(pc.and_(pc.greater(nodes["perfect_links"], 0),
+                         pc.equal(mc, 1)))
+    hits(rows, "warning", "suspicious_perfect_score",
+         [_PERFECT_MSG] * len(rows))
+
+    # node order; a stable sort keeps the rule order within a node
+    node_at = np.concatenate(node)
+    order = np.argsort(node_at, kind="stable")
+    n = len(order)
+    return pa.Table.from_arrays(
+        [pa.repeat("entity", n), name.take(node_at[order]),
+         *(pa.array(v, pa.string()).take(order) for v in (sev, rule, msg))],
+        schema=VALIDATION_ISSUES)
 
 
 def summarize_issues(

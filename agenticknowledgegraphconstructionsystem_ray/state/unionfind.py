@@ -1,15 +1,17 @@
 """Union-find (disjoint set) for entity canonicalization.
 
 Connected components is the one operator with no direct Ray Data primitive
-(SURVEY.md §7.4). The alias-edge set is bounded by the number of DISTINCT
-surface forms, not by row count, so the engine merges per-surface counts with
-a partial groupby and runs this dict union-find on the driver: one
-``add``/``union`` per surface. It only assigns each surface its component
-root; the per-component sums, score max/min and alias lists come from one
-Arrow ``group_by(root)`` over the counts table
-(stages/canonicalize.component_table), never from a loop over components.
-For edge sets too large for one machine, the fallback is iterated min-label
-propagation via ``groupby`` (stages/canonicalize.label_propagation_*): same
+(SURVEY.md §7.4). Only alias-relevant surfaces (alias keys and canonical
+norms) can ever be unioned, so the engine runs this dict union-find on the
+driver over those rows of the merged per-surface counts only: one
+``add``/``union`` per alias-relevant surface, bounded by the alias
+dictionary; every other surface is a singleton built in Arrow
+(stages/canonicalize.build_entity_table). It only assigns each surface its
+component root; the per-component sums, score max/min and alias lists come
+from one Arrow ``group_by(root)`` (stages/canonicalize.component_table),
+never from a loop over components. For edge sets too large for one
+machine, the fallback is iterated min-label propagation via ``groupby``
+(stages/canonicalize.label_propagation_components_driverless): same
 fixpoint, O(diameter) rounds.
 """
 

@@ -42,37 +42,3 @@ def kg_out(tmp_path_factory, pages_dir):
     cfg = kg.KGConfig(pages_dir=pages_dir, out_dir=out, chunk_files=2)
     metrics = kg.run_pipeline(cfg)
     return out, metrics
-
-
-@pytest.fixture(scope="session")
-def phase_b_gate():
-    """Context-manager factory over phase B's path gate: inside
-    ``phase_b_gate(gate=0, hot_map_cap=None)`` ``kg.DRIVER_MCOUNT_MAX_ROWS``
-    is ``gate`` (0: every run with mention counts takes the distributed
-    side) and ``openvocab.HOT_MAP_CAP`` is ``hot_map_cap`` when given. It
-    yields the list of ``build_nodes_openvocab`` calls, so a test can show
-    which side ran."""
-    import contextlib
-
-    from agenticknowledgegraphconstructionsystem_ray.pipelines import (
-        kg,
-        openvocab,
-    )
-
-    @contextlib.contextmanager
-    def forced(gate: int = 0, hot_map_cap: int | None = None):
-        calls: list = []
-        orig = kg.build_nodes_openvocab
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return orig(*args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kg, "DRIVER_MCOUNT_MAX_ROWS", gate)
-            if hot_map_cap is not None:
-                mp.setattr(openvocab, "HOT_MAP_CAP", hot_map_cap)
-            mp.setattr(kg, "build_nodes_openvocab", spy)
-            yield calls
-
-    return forced

@@ -1,5 +1,6 @@
 """Canonicalization units: union-find merge, block combiner correctness,
-and the columnar entity table against a per-component reference."""
+and the columnar entity table against a per-component reference and
+against the former union-find over the full vocabulary."""
 
 import pandas as pd
 import pyarrow as pa
@@ -8,12 +9,19 @@ from hypothesis import strategies as st
 
 from agenticknowledgegraphconstructionsystem_ray.functions.textnorm import norm_surface
 from agenticknowledgegraphconstructionsystem_ray.stages.canonicalize import (
+    ID_MAP_SCHEMA,
     NODES_SCHEMA,
     build_entity_table,
 )
 from agenticknowledgegraphconstructionsystem_ray.stages.triples import _mcount_table
 from agenticknowledgegraphconstructionsystem_ray.pipelines.kg import merge_mcounts
 from agenticknowledgegraphconstructionsystem_ray.state.unionfind import UnionFind
+
+
+def id_map_dict(id_map: pa.Table) -> dict[str, tuple[int, str]]:
+    """The Arrow id map as norm -> (entity_id, canonical_name)."""
+    return {m: (i, n) for m, i, n in zip(
+        *(id_map[c].to_pylist() for c in ID_MAP_SCHEMA.names))}
 
 
 def test_unionfind_transitive():
@@ -78,6 +86,7 @@ def test_alias_merge_transitive_chain():
     )
     nodes, id_map = build_entity_table(
         pa.Table.from_pandas(counts, preserve_index=False), alias)
+    id_map = id_map_dict(id_map)
     d = nodes.to_pydict()
     assert d["canonical_name"] == ["Neural Radiance Fields", "unknown thing"]
     assert d["mention_count"] == [8, 1]
@@ -98,6 +107,7 @@ def test_entity_ids_deterministic_by_name():
     )
     nodes, id_map = build_entity_table(
         pa.Table.from_pandas(counts, preserve_index=False), alias)
+    id_map = id_map_dict(id_map)
     assert nodes.to_pydict()["canonical_name"] == ["apple", "zebra"]
     assert id_map["apple"][0] == 0 and id_map["zebra"][0] == 1
 
@@ -231,4 +241,124 @@ def test_entity_table_matches_per_component_reference(case, seed):
         pa.Table.from_pandas(counts, preserve_index=False), alias)
     assert nodes.schema == NODES_SCHEMA
     assert nodes.to_pydict() == want_nodes.to_pydict()
-    assert id_map == want_map
+    assert id_map_dict(id_map) == want_map
+
+
+# -- property: the relevant-only split equals the former full-vocabulary
+# union-find, kept here verbatim as the reference --
+
+_FULL_ENTITY_SCHEMA = pa.schema(
+    [f for f in NODES_SCHEMA if f.name != "entity_id"])
+_FULL_AGGS = [
+    ("mention_count", "sum"), ("link_count", "sum"), ("perfect_links", "sum"),
+    ("max_score", "max"), ("min_score", "min"), ("norm_surface", "list"),
+]
+
+
+def _full_component_table(counts, alias):
+    norms = counts["norm_surface"].to_pylist()
+    uf = UnionFind()
+    for norm in norms:
+        uf.add(norm)
+        hit = alias.get(norm)
+        if hit is not None:
+            uf.union(norm, norm_surface(hit[0]))
+    root_of = {m: uf.find(m) for m in uf.parent}
+    canon: dict[str, str] = {}
+    ent_type: dict[str, str] = {}
+    for m, r in root_of.items():
+        hit = alias.get(m)
+        if hit is not None:
+            canon[r] = min(canon.get(r, hit[0]), hit[0])
+            ent_type[r] = min(ent_type.get(r, hit[1]), hit[1])
+    g = (
+        counts.append_column(
+            "root", pa.array([root_of[n] for n in norms], pa.string())
+        )
+        .sort_by("norm_surface")
+        .group_by("root", use_threads=False)
+        .aggregate(_FULL_AGGS)
+    )
+    roots = g["root"].to_pylist()
+    g = pa.Table.from_arrays(
+        [
+            pa.array([canon.get(r, r) for r in roots], pa.string()),
+            pa.array([ent_type.get(r, "concept") for r in roots], pa.string()),
+            *(g[f"{col}_{op}"] for col, op in _FULL_AGGS),
+            g["root"],
+        ],
+        names=[*_FULL_ENTITY_SCHEMA.names, "root"],
+    ).sort_by([("canonical_name", "ascending"), ("root", "ascending")])
+    row_of_root = {r: i for i, r in enumerate(g["root"].to_pylist())}
+    row_of = {m: row_of_root[r] for m, r in root_of.items()}
+    return g.drop_columns(["root"]).cast(_FULL_ENTITY_SCHEMA), row_of
+
+
+def _full_build_entity_table(counts, alias):
+    rows, row_of = _full_component_table(counts, alias)
+    names = rows["canonical_name"].to_pylist()
+    nodes = rows.add_column(
+        0, NODES_SCHEMA.field("entity_id"),
+        pa.array(range(rows.num_rows), pa.int64()),
+    )
+    return nodes, {m: (i, names[i]) for m, i in row_of.items()}
+
+
+_WORDS = ["nerf", "ml", "gs", "zeta", "Zeta", "apple", "mango", "field",
+          "tree", "a", "b", "radiance", "x-y", "learning", ""]
+_SCORES = [0.0, 0.4, 1.0, -0.5, 1.5, float("nan")]
+
+
+@st.composite
+def open_vocab_case(draw):
+    """Counts over an open vocabulary plus an alias dict: alias keys (some
+    unobserved), canonicals whose norms are observed or not, chains where
+    one alias's canonical norm is another alias's key, and singleton norms
+    that never appear in the dict, all in a shuffled row order."""
+    word = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(
+        " ".join)
+    canon = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=2).map(
+        lambda w: " ".join(x.capitalize() for x in w))
+    types = st.sampled_from(["method", "field", "data"])
+    alias = draw(st.dictionaries(word, st.tuples(canon, types), max_size=8))
+    # chains: an alias key equal to another entry's canonical norm
+    for c, t in list(alias.values())[: draw(st.integers(0, 3))]:
+        alias.setdefault(norm_surface(c), (draw(canon), t))
+    relevant = sorted(set(alias) | {norm_surface(c) for c, _ in alias.values()})
+    observed = (draw(st.lists(st.sampled_from(relevant), unique=True))
+                if relevant else [])
+    singles = draw(st.lists(word, unique=True, max_size=12))
+    norms = draw(st.permutations(list(dict.fromkeys(
+        observed + [w for w in singles if w not in relevant]))))
+    n = len(norms)
+    ints = st.lists(st.integers(0, 9), min_size=n, max_size=n)
+    scores = st.lists(st.sampled_from(_SCORES), min_size=n, max_size=n)
+    counts = pa.table({
+        "norm_surface": pa.array(norms, pa.string()),
+        "mention_count": pa.array(draw(ints), pa.int64()),
+        "link_count": pa.array(draw(ints), pa.int64()),
+        "perfect_links": pa.array(draw(ints), pa.int64()),
+        "max_score": pa.array(draw(scores), pa.float64()),
+        "min_score": pa.array(draw(scores), pa.float64()),
+    })
+    return counts, alias
+
+
+@given(case=open_vocab_case())
+@settings(max_examples=300, deadline=None)
+@example(case=(pa.table({
+    "norm_surface": ["zeta", "ml", "apple", "machine learning"],
+    "mention_count": pa.array([1, 2, 3, 4], pa.int64()),
+    "link_count": pa.array([1, 1, 1, 1], pa.int64()),
+    "perfect_links": pa.array([0, 0, 1, 0], pa.int64()),
+    "max_score": [float("nan"), 0.4, 1.0, 0.5],
+    "min_score": [float("nan"), 0.4, 1.0, 0.5],
+}), {"ml": ("Machine Learning", "field"), "gs": ("Zeta", "method")}))
+def test_relevant_split_matches_full_vocabulary_union_find(case):
+    counts, alias = case
+    want_nodes, want_map = _full_build_entity_table(counts, alias)
+    nodes, id_map = build_entity_table(counts, alias)
+    assert nodes.equals(want_nodes)
+    assert id_map.schema == ID_MAP_SCHEMA
+    assert id_map_dict(id_map) == want_map
+    assert id_map.num_rows == len(want_map)

@@ -5,11 +5,9 @@ ranges, map tasks sort and slice, reduce tasks merge their own slices
 import glob
 import os
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
-import ray
 import ray.data as rd
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,27 +89,6 @@ def test_merge_dedups_within_a_range():
     assert merged["confidence"].to_pylist() == [0.6, 0.5, 0.4]
     assert merged["validated"].to_pylist() == [True, True, True]
     assert kg.merge_edge_slices([a[1], b[1]], dedup=True).num_rows == 0
-
-
-def test_empty_pandas_block_only_pads_the_slices():
-    """Above the phase-B gate the map tasks get the id-resolved blocks of
-    a Ray Data plan, and Ray hands the lookup join's empty outputs on as
-    column-less pandas frames: such a block yields empty Arrow slices that
-    leave every range's merge unchanged."""
-    t = kg.partition_edges(_edges([(0, "a", 1, "u1"), (5, "b", 2, "u2"),
-                                   (1, "a", 5, "u3")]), [])[0]
-    cuts = kg.subject_cuts(8, 2)
-
-    def slices(src):
-        return ray.get(kg._map_edges.options(num_returns=2).remote(
-            src, cuts, lambda b: b, None, None))
-
-    empty, full = slices(pd.DataFrame()), slices(t)
-    assert all(isinstance(s, pa.Table) and not s.num_rows for s in empty)
-    for p in range(2):
-        assert kg.merge_edge_slices([empty[p], full[p]], dedup=False).equals(
-            full[p])
-    assert pa.concat_tables(full).equals(t)
 
 
 def _edge_files(out):

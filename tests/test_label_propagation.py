@@ -6,7 +6,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from agenticknowledgegraphconstructionsystem_ray.stages.canonicalize import (
-    label_propagation_components,
+    label_propagation_components_driverless,
 )
 from agenticknowledgegraphconstructionsystem_ray.state.unionfind import UnionFind
 
@@ -15,7 +15,8 @@ def _compare(edges: list[tuple[str, str]]):
     ds = rd.from_arrow(
         pa.table({"a": [e[0] for e in edges], "b": [e[1] for e in edges]})
     )
-    lp = label_propagation_components(ds)
+    labels = label_propagation_components_driverless(ds).to_pandas()
+    lp = dict(zip(labels["node"], labels["label"]))
 
     uf = UnionFind()
     for a, b in edges:

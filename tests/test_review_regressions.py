@@ -11,6 +11,7 @@ from agenticknowledgegraphconstructionsystem_ray.pipelines import kg
 from agenticknowledgegraphconstructionsystem_ray.stages.canonicalize import (
     build_entity_table,
 )
+from test_canonicalize import id_map_dict
 
 
 def test_alias_dict_without_canonical_self_map(ray_session, tmp_path):
@@ -30,7 +31,7 @@ def test_alias_dict_without_canonical_self_map(ray_session, tmp_path):
     d = nodes.to_pydict()
     assert d["canonical_name"] == ["Machine Learning", "other"]
     assert d["ent_type"] == ["field", "concept"]
-    assert id_map["ml"][1] == "Machine Learning"
+    assert id_map_dict(id_map)["ml"][1] == "Machine Learning"
 
 
 def test_chunk_plan_change_invalidates_resume(ray_session, tmp_path):

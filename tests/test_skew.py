@@ -7,7 +7,8 @@ Three planted skews, each hitting a different hot-key defense:
    bounded by distinct pairs per block, not raw links), with the
    aggregate still exact vs a sequential recompute;
 2. one ENTITY at ~50% of mentions  -> the KG pipeline's mcount combiner
-   + hot-map id application must keep P/R = 1.0 vs the oracle;
+   + dictionary-encoded id application must keep P/R = 1.0 vs the
+   oracle;
 3. one TEXT duplicated across 50% of documents -> the MinHash hot-bucket
    chain cap must bound candidate pairs LINEARLY in the cluster size
    (never m^2/2) while preserving cluster connectivity for keep verdicts.
@@ -146,47 +147,13 @@ def test_kg_parity_under_hot_entity(ray_session, tmp_path):
     assert (p, r) == (1.0, 1.0)
 
     # the planted entity is actually hot: top mention_count node holds a
-    # large share of all mentions (the regime the hot-map path exists for)
+    # large share of all mentions
     nodes = pq.read_table(
         sorted(glob.glob(os.path.join(out, "nodes", "*.parquet"))),
         columns=["mention_count"],
     )
     counts = sorted(nodes["mention_count"].to_pylist(), reverse=True)
     assert counts[0] > 0.25 * sum(counts)
-
-
-def test_openvocab_matches_closed_under_hot_entity(ray_session, tmp_path,
-                                                   phase_b_gate):
-    """Phase B's driver-free side above the gate (distributed counts,
-    hot-map id application, salted lookup join) must stay byte-identical
-    to the driver side ON THE SKEWED CORPUS — the regime where one entity
-    dominates the mention mass is exactly what the hot-map/salting
-    defenses exist for."""
-    import contextlib
-
-    from agenticknowledgegraphconstructionsystem_ray.pipelines import kg
-
-    skewed = _skewed_pages(tmp_path, n=400, n_files=4)
-    outs = {}
-    for mode in ("closed", "open"):
-        out = str(tmp_path / f"kg_{mode}")
-        gate = phase_b_gate() if mode == "open" else contextlib.nullcontext()
-        with gate as calls:
-            kg.run_pipeline(kg.KGConfig(pages_dir=skewed, out_dir=out,
-                                        chunk_files=2))
-        assert calls is None or len(calls) == 1
-        outs[mode] = out
-
-    def edges(d):
-        return pq.read_table(sorted(glob.glob(
-            os.path.join(d, "edges/**/*.parquet"), recursive=True)))
-
-    def nodes(d):
-        return pq.read_table(sorted(glob.glob(
-            os.path.join(d, "nodes", "*.parquet"))))
-
-    assert edges(outs["open"]).equals(edges(outs["closed"]))
-    assert nodes(outs["open"]).equals(nodes(outs["closed"]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The vectorized edge-rule masks must agree row-for-row with the pure
-reference-parity functions (functions/validate_rules.py)."""
+reference-parity functions (functions/validate_rules.py), and the
+columnar entity rules with the goldens' per-row reference."""
 
 import numpy as np
 import pyarrow as pa
@@ -8,15 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agenticknowledgegraphconstructionsystem_ray.functions.validate_rules import (
+    GENERIC_TERMS,
     TYPE_KEYWORDS,
     is_valid,
     should_flag_for_review,
     validate_relationship,
 )
+from agenticknowledgegraphconstructionsystem_ray.goldens import node_issue_rows
+from agenticknowledgegraphconstructionsystem_ray.schema import VALIDATION_ISSUES
 from agenticknowledgegraphconstructionsystem_ray.stages.validate import (
     EDGE_RULES,
     edge_rule_masks,
     validate_edges_batch,
+    validate_nodes_table,
 )
 
 
@@ -128,3 +133,91 @@ def test_per_predicate_keyword_mask_matches_all_keyword_loop(rows, n_chunks):
     )
     got = edge_rule_masks(batch)["type_explanation_mismatch"]
     assert got.to_pylist() == _all_keyword_mismatch(batch).to_pylist()
+
+
+# -- entity rules: the columnar validate_nodes_table against the goldens'
+# per-row reference --
+
+_SPACE_CHARS = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+_padding = st.text(alphabet=st.sampled_from(_SPACE_CHARS), max_size=3)
+
+
+def _padded_term(pre: str, term: str, post: str, case: str,
+                 kelvin: bool) -> str:
+    """A generic term, cased, its k written as the Kelvin sign U+212A
+    (whose ``str.lower`` is "k") when ``kelvin``, between space
+    paddings."""
+    term = {"upper": term.upper(), "title": term.title()}.get(case, term)
+    if kelvin:
+        term = term.replace("k", "\u212a").replace("K", "\u212a")
+    return pre + term + post
+
+
+_generic = st.builds(
+    _padded_term, _padding, st.sampled_from(sorted(GENERIC_TERMS)), _padding,
+    st.sampled_from(["lower", "upper", "title"]), st.booleans())
+_short = st.text(
+    alphabet=st.sampled_from(_SPACE_CHARS + ["a", "Z", "-", "İ",
+                                             "K", "ß", "ẞ"]),
+    max_size=4)
+_long = st.builds(lambda pad, c, n: pad + c * n + pad, _padding,
+                  st.sampled_from(["a", "İ", " x"]), st.integers(48, 103))
+_score = st.sampled_from([0.0, 0.3, 1.0, -0.2, 1.5, float("nan"),
+                          float("inf"), 1e20, None])
+
+
+_NODE_COLUMNS = pa.schema([
+    ("entity_id", pa.int64()), ("canonical_name", pa.string()),
+    ("mention_count", pa.int64()), ("link_count", pa.int64()),
+    ("perfect_links", pa.int64()), ("max_score", pa.float64()),
+    ("min_score", pa.float64())])
+
+
+@st.composite
+def node_tables(draw):
+    rows = draw(st.lists(st.fixed_dictionaries({
+        "canonical_name": st.one_of(_generic, _short, _long,
+                                    st.sampled_from(["NeRF", "Paper Towels"])),
+        "mention_count": st.integers(0, 3),
+        "link_count": st.integers(0, 3),
+        "perfect_links": st.integers(0, 2),
+        "max_score": _score,
+        "min_score": _score,
+    }), max_size=30))
+    for i, r in enumerate(rows):
+        r["entity_id"] = i
+    return pa.Table.from_pylist(rows, schema=_NODE_COLUMNS)
+
+
+@given(nodes=node_tables())
+@settings(max_examples=400, deadline=None)
+def test_node_issues_match_per_row_reference(nodes):
+    want = pa.Table.from_pylist(node_issue_rows(nodes.to_pylist()),
+                                schema=VALIDATION_ISSUES)
+    assert validate_nodes_table(nodes).equals(want)
+
+
+def test_node_issue_candidates_cover_every_space_and_case_fold():
+    """Every ``str.isspace`` char as padding, the Kelvin sign inside a
+    generic term, and the dotted capital I (whose lowercase is two chars),
+    in one table."""
+    names = [c + "Paper" for c in _SPACE_CHARS] + [
+        "a" + c for c in _SPACE_CHARS] + [
+        "Related WorK", "İntroduction", "Straße", "x", ""]
+    n = len(names)
+    nodes = pa.table({
+        "entity_id": pa.array(range(n), pa.int64()),
+        "canonical_name": names,
+        "mention_count": pa.array([1] * n, pa.int64()),
+        "link_count": pa.array([1] * n, pa.int64()),
+        "perfect_links": pa.array([0] * n, pa.int64()),
+        "max_score": [0.5] * n,
+        "min_score": [0.5] * n,
+    })
+    got = validate_nodes_table(nodes)
+    want = pa.Table.from_pylist(node_issue_rows(nodes.to_pylist()),
+                                schema=VALIDATION_ISSUES)
+    assert got.equals(want)
+    rules = got["rule"].to_pylist()
+    assert rules.count("no_generic_terms") == len(_SPACE_CHARS) + 1
+    assert rules.count("name_too_short") == len(_SPACE_CHARS) + 2

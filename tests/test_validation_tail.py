@@ -1,12 +1,10 @@
 """Phase B's validation tail: relationship issues are written by the edge
 sort's own write tasks (``kg._write_checked``), in the same execution as
-edges/; above phase B's path gate the nodes write tasks write the entity
-issues the same way. The former path re-read edges/ and ran
+edges/. The former path re-read edges/ and ran
 ``edge_issues_batch`` and ``issue_count_batch`` over it; it is kept here as
 the reference, and both must give the same issue rows and the same
 validation-results.json."""
 
-import contextlib
 import glob
 import json
 import os
@@ -27,8 +25,6 @@ from agenticknowledgegraphconstructionsystem_ray.stages.validate import (
 
 VARIANTS = {
     "default": {},
-    # phase B's distributed side, the gate forced (see ``runs``)
-    "open_vocab": {},
     "global_edge_dedup": {"global_edge_dedup": True},
     # no page passes the language filter: no triples, no edges
     "zero_edges": {"lang_allow": frozenset({"zz"})},
@@ -51,21 +47,18 @@ def _spy(mp, module, attr: str, seen: list) -> None:
 
 
 @pytest.fixture(scope="module")
-def runs(pages_dir, tmp_path_factory, phase_b_gate):
+def runs(pages_dir, tmp_path_factory):
     """name -> (out dir, every path the driver read parquet from)."""
     res = {}
     for name, kw in VARIANTS.items():
         out = str(tmp_path_factory.mktemp(f"tail_{name}"))
         seen: list = []
-        gate = (phase_b_gate() if name == "open_vocab"
-                else contextlib.nullcontext())
-        with pytest.MonkeyPatch.context() as mp, gate as calls:
+        with pytest.MonkeyPatch.context() as mp:
             _spy(mp, rd, "read_parquet", seen)
             for attr in ("read_table", "read_metadata"):
                 _spy(mp, pq, attr, seen)
             kg.run_pipeline(kg.KGConfig(
                 pages_dir=pages_dir, out_dir=out, chunk_files=2, **kw))
-        assert calls is None or len(calls) == 1, name
         res[name] = (out, seen)
     return res
 
@@ -133,7 +126,7 @@ def test_tail_never_reads_edges_back(runs, variant):
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_no_empty_issue_files(runs, variant):
-    """Write tasks with no issue rows write no file. The driver side's
+    """Write tasks with no issue rows write no file. The driver's
     entity-issues.parquet is the one file written even when
     empty: it keeps the issues table readable (and typed) on a run with no
     issues at all."""
@@ -141,7 +134,7 @@ def test_no_empty_issue_files(runs, variant):
     for f in _files(out, os.path.join("validation", "issues")):
         name = os.path.basename(f)
         if name != "entity-issues.parquet":
-            assert name.startswith(("edge-", "entity-")), name
+            assert name.startswith("edge-"), name
             assert pq.read_metadata(f).num_rows > 0, name
 
 

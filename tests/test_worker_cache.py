@@ -1,5 +1,5 @@
 """runtime.worker_cached — the one per-worker-process cache of broadcast
-state (extractors, broadcast values, eval grams, bloom filters) —
+state (extractors, eval grams, bloom filters) —
 keeps at most ``keep`` entries per call site, so a long-lived worker
 serving a chain of jobs does not grow by one entry per job."""
 
@@ -16,7 +16,6 @@ from agenticknowledgegraphconstructionsystem_ray import runtime
 from agenticknowledgegraphconstructionsystem_ray.pipelines import (
     assembly,
     curate,
-    openvocab,
 )
 from agenticknowledgegraphconstructionsystem_ray.stages import triples
 from agenticknowledgegraphconstructionsystem_ray.state import bloom
@@ -69,10 +68,6 @@ def test_worker_cached_is_lru_per_site():
 
 # Broadcast values of distinct types, so the live copies a cache holds
 # can be counted with gc (ray.get returns a fresh copy per fetch).
-class _HotMap(dict):
-    pass
-
-
 class _GramSet(set):
     pass
 
@@ -91,15 +86,6 @@ def _growth_over_twenty_refs(cls, make, call) -> int:
 
 def _small_bloom(i: int) -> bloom.BloomFilter:
     return bloom.BloomFilter.build([f"k{i}"], n_bits=1024, n_hashes=2)
-
-
-def test_openvocab_broadcast_values_stay_bounded(ray_session):
-    edges = pa.table({"subj_norm": ["ada"], "obj_norm": ["acme"]})
-    assert _growth_over_twenty_refs(
-        _HotMap,
-        lambda i: _HotMap({"ada": (i, "Ada"), "acme": (100 + i, "Acme")}),
-        lambda ref: openvocab.hot_apply_batch(edges, hot_ref=ref,
-                                              emit="misses")) <= 2
 
 
 def test_curate_eval_grams_stay_bounded(ray_session):

@@ -1,22 +1,20 @@
-"""Time phase B on both sides of its path gate over one long-tail corpus.
+"""Time phase B over growing prefixes of one long-tail corpus.
 
-Phase B merges the mcount partials on the driver when their row count is
-at most ``kg.DRIVER_MCOUNT_MAX_ROWS`` and stays distributed above it. This
-script measures both sides at the same input so the gate can be placed
-from numbers:
+Phase B's driver state (the merged counts, the nodes and the id map) grows
+with the vocabulary, that is with the mcount partial rows. This script
+measures phase B at several sizes of the same corpus:
 
-    python tools/gate_crossover.py build WORK N_PAGES
-    python tools/gate_crossover.py run WORK N_CHUNKS driver|distributed
+    python tools/phase_b_sweep.py build WORK N_PAGES
+    python tools/phase_b_sweep.py run WORK N_CHUNKS
 
 ``build`` writes the kgbench ``build_longtail`` page shape (seed 1, 12
 corpus-unique surfaces per page) as files of ``PAGES_PER_FILE`` pages and
-runs phase A over it, one file per chunk. ``run`` runs phase B, with the
-gate forced to the named side, over the record files of the first
-``N_CHUNKS`` chunks, in a fresh Ray session (``RAY_GRAFT_CPUS`` CPUs,
-default 4), and prints one JSON line: the partial-row count, phase B's
-wall time and timings, the driver's peak RSS and the peak summed RSS of
-the Ray workers. Run each measurement in its own process: the driver's
-peak RSS is the process high-water mark.
+runs phase A over it, one file per chunk. ``run`` runs phase B over the
+record files of the first ``N_CHUNKS`` chunks, in a fresh Ray session
+(``RAY_GRAFT_CPUS`` CPUs, default 4), and prints one JSON line: the
+partial-row count, phase B's wall time and timings, the driver's peak RSS
+and the peak summed RSS of the Ray workers. Run each measurement in its
+own process: the driver's peak RSS is the process high-water mark.
 """
 import json
 import os
@@ -60,7 +58,7 @@ def build(work: str, n_pages: int) -> None:
     print(json.dumps({"pages": n_pages, "phase_a_s": round(time.perf_counter() - t0, 1)}))
 
 
-def run(work: str, n_chunks: int, side: str) -> None:
+def run(work: str, n_chunks: int) -> None:
     chunks = sorted(os.listdir(os.path.join(work, "a", "extracted")))[:n_chunks]
     records = os.path.join(work, f"records_{n_chunks}")
     if not os.path.isdir(records):
@@ -68,9 +66,8 @@ def run(work: str, n_chunks: int, side: str) -> None:
         for c in chunks:
             os.symlink(os.path.join(work, "a", "extracted", c),
                        os.path.join(records, "extracted", c))
-    out = os.path.join(work, f"b_{n_chunks}_{side}")
+    out = os.path.join(work, f"b_{n_chunks}")
     shutil.rmtree(out, ignore_errors=True)
-    kg.DRIVER_MCOUNT_MAX_ROWS = 0 if side == "distributed" else 1 << 62
     n_partials = sum(pq.read_metadata(f).num_rows
                      for f in kg._kind_files(records, "mcount"))
     _init()
@@ -79,7 +76,7 @@ def run(work: str, n_chunks: int, side: str) -> None:
                                        record_dirs=(records,)))
     shutil.rmtree(out, ignore_errors=True)
     print(json.dumps({
-        "side": side, "chunks": n_chunks, "mcount_rows": n_partials,
+        "chunks": n_chunks, "mcount_rows": n_partials,
         "n_nodes": r["n_nodes"], "n_edges": r["n_edges"],
         "phase_b_wall_s": r["phase_b_wall_s"], **r["phase_b_timings"],
         "driver_peak_rss_mb": round(probes.driver_peak_rss_mb(), 1),
@@ -92,4 +89,4 @@ if __name__ == "__main__":
     if cmd == "build":
         build(work, n)
     else:
-        run(work, n, sys.argv[4])
+        run(work, n)
