@@ -4,30 +4,28 @@ Two phases:
 
 **Phase A — resumable extraction** (the expensive per-document work;
 reference analog: ingestion + entity extraction, SURVEY.md §3.1-3.2):
-input Parquet files are grouped into lineage chunks; pending chunks (resume
-anti-join against manifests, ``state/manifest.py``) run as ONE fused
-streaming execution per commit group:
+input Parquet files are grouped into lineage chunks; each pending chunk
+(resume anti-join against manifests, ``state/manifest.py``) is split into
+contiguous file groups (``runtime.file_groups``, one per cluster CPU), and
+each group is ONE plain Ray task, at most 2 x CPUs in flight:
 
-    read_parquet(pending files, include_paths=True)
-      -> map_batches(extract_text_batch)      [html -> text: one columnar
-                                               RE2 kernel per batch; drops
-                                               html; path -> chunk tag]
-      -> map_batches(extract_records_batch)   [NER+SVO+linking+confidence;
-                                               broadcast alias dict cached
-                                               per worker; per-page edge
-                                               dedup + mcount partials]
-      -> write_parquet(partition_cols=["chunk", "kind"])
+    ParquetFile.iter_batches(url, warc_ts, html, lang), re-sliced into
+    BATCH_ROWS-page batches across file boundaries
+      -> extract_text_batch      [html -> text: one columnar RE2 kernel
+                                  per batch; drops html]
+      -> extract_records_batch   [NER+SVO+linking+confidence; broadcast
+                                  alias dict cached per worker; per-page
+                                  edge dedup + mcount partials]
+      -> one zstd ParquetWriter per kind:
+           .chunk-<cid>.tmp/kind=<k>/part-<group>.parquet
            kind in {page(text artifact) | mention | triple | mcount}
 
-Everything between read and write is ONE fused task operator (per-chunk
-dataset unions or actor-pool stages fragment fusion and halve throughput —
-measured); per-chunk lineage comes from the file-path column. Chunk dirs are
-promoted atomically BEFORE their manifest commits, so a manifest implies
-complete output and re-runs are idempotent (reference: skip-if-done +
-extraction_logs anti-join, ``extract_and_populate.py:171-175``,
-``database.ts:66-81``). ``cfg.use_actor_pool`` switches the extraction stage
-to a ``TripleExtractor`` actor pool — the right shape when per-worker state
-is an expensive model load rather than a broadcast dict.
+No Ray Data: the task reads, extracts and writes its group, and returns
+its page count and rows per kind. A chunk's dir is promoted atomically as
+soon as its last task returns, BEFORE its manifest commits, so a manifest
+implies complete output, re-runs are idempotent and a crash loses only the
+chunks in flight (reference: skip-if-done + extraction_logs anti-join,
+``extract_and_populate.py:171-175``, ``database.ts:66-81``).
 
 **Phase B — global canonicalization + materialization, idempotent
 overwrite** (reference analog: concept upserts + validation, §3.2-3.4):
@@ -40,7 +38,7 @@ overwrite** (reference analog: concept upserts + validation, §3.2-3.4):
     triple files -> P contiguous groups (runtime.file_groups, one per CPU);
     the driver cuts [0, n_nodes) into P equal-width subject-id ranges
       -> P map tasks: read a group and apply_ids_batch [broadcast id map,
-         index_in over each batch's unique norms], validate_edges_batch,
+         ONE index_in over the batch's subj+obj uniques], validate_edges_batch,
          ONE Arrow sort_by, slice at the cuts
       -> P reduce tasks: range p concatenates its own slices [+ global
          dedup], sort_by, writes edges/<p>.parquet and runs
@@ -55,7 +53,7 @@ time, so the edges need no Ray shuffle: each reduce task receives only the
 slices of its own subject range, never a block that goes to every
 partition. One subject's edges are never split across ranges, so a hot
 subject makes its range large (SCALE.md). The html column never leaves
-phase A's first stage. The alias dictionary and the id map are broadcast
+phase A's text kernel. The alias dictionary and the id map are broadcast
 via ``ray.put`` once and fetched once per worker.
 """
 
@@ -86,7 +84,6 @@ from ..stages.extract import extract_text_batch
 from ..stages.triples import (
     MCOUNT_COLUMNS,
     RECORD_SCHEMA,
-    TripleExtractor,
     extract_records_batch,
 )
 from ..stages.validate import (
@@ -105,28 +102,15 @@ class KGConfig:
     pages_dir: str
     out_dir: str
     chunk_files: int = 8          # input files per resumable chunk
-    batch_size: int = 256         # pages per extraction batch
-    extract_concurrency: int | None = None  # actor pool size (None -> auto tasks)
     lang_allow: frozenset[str] | None = None
     alias: dict[str, tuple[str, str]] | None = None  # norm alias -> (canonical, type)
     resume: bool = True
     max_chunks: int | None = None  # process at most this many pending chunks
                                    # (used by the kill/resume test)
-    commit_group: int | None = None  # chunks per streaming execution; None =
-                                     # all pending in one execution (lowest
-                                     # overhead; per-chunk manifests still
-                                     # written). Small values = finer crash
-                                     # recovery at more per-execution cost.
     global_edge_dedup: bool = False  # add an exact global dedup shuffle for
                                      # corpora where the same url can recur
                                      # (re-crawls); per-page dedup at source
                                      # already covers unique-url corpora
-    use_actor_pool: bool = False     # True = TripleExtractor actor pool (the
-                                     # right shape for expensive per-worker
-                                     # model state); False = stateless tasks
-                                     # with the broadcast dict cached per
-                                     # worker process (faster when state is
-                                     # just the object-store alias dict)
     record_dirs: tuple[str, ...] | None = None  # phase-B record sources:
                                      # None = this run's own extracted dir;
                                      # a tuple = the UNION of several runs'
@@ -140,13 +124,14 @@ class KGConfig:
                                      # files (truncated / corrupt parquet
                                      # footers — the crash-mid-upload case
                                      # a 10^12-doc crawl WILL contain)
-                                     # instead of failing the run: bad
-                                     # files are excluded from the read and
-                                     # recorded per chunk in the manifest
-                                     # ("quarantined"). Footer/metadata
-                                     # probe only — mid-file data-page
-                                     # corruption still fails the task (and
-                                     # retries). Default False: fail loud.
+                                     # instead of failing the run: the
+                                     # phase-A task skips a file whose
+                                     # footer does not parse and records it
+                                     # in the chunk manifest
+                                     # ("quarantined"). Footer check only —
+                                     # mid-file data-page corruption still
+                                     # fails the task. Default False: fail
+                                     # loud.
 
     def alias_dict(self) -> dict[str, tuple[str, str]]:
         return self.alias if self.alias is not None else synth.alias_dict()
@@ -156,17 +141,6 @@ class KGConfig:
         # computed once per config: a KGConfig describes one run, and its
         # fields do not change once it is used
         return _semantic_fingerprint(self)
-
-
-@ray.remote(num_cpus=0.25)
-def _probe_parquet(path: str) -> bool:
-    """True iff the file's parquet footer/metadata parses — the quarantine
-    probe for cfg.skip_bad_files (cheap: footer only, no data pages)."""
-    try:
-        pq.read_metadata(path)
-        return True
-    except Exception:
-        return False
 
 
 def plan_chunks(pages_dir: str, chunk_files: int) -> list[list[str]]:
@@ -239,11 +213,7 @@ _PIPELINE_ARTIFACTS = frozenset(
 
 
 def _is_pipeline_artifact(name: str) -> bool:
-    return (
-        name in _PIPELINE_ARTIFACTS
-        or name.endswith(".tmp")
-        or name.startswith(".group-")
-    )
+    return name in _PIPELINE_ARTIFACTS or name.endswith(".tmp")
 
 
 def _check_layout(out_dir: str, cfg: "KGConfig") -> None:
@@ -341,8 +311,103 @@ def _check_layout(out_dir: str, cfg: "KGConfig") -> None:
         f.write(payload)
 
 
+BATCH_ROWS = 256  # pages per extraction batch
+
+
+def _page_batches(files: list[str]):
+    """The pages of ``files`` (the four columns the extractor reads) in
+    BATCH_ROWS-row tables, re-sliced across file boundaries; the last
+    table holds the remainder. Files are read with ``ParquetFile``, the
+    edge map tasks' reader. The input's ``text`` column (~3 KB/page on a
+    real crawl) never leaves storage: phase A re-extracts it from html."""
+    buf = None
+    for f in files:
+        for b in pq.ParquetFile(f).iter_batches(
+                batch_size=BATCH_ROWS, columns=["url", "warc_ts", "html", "lang"]):
+            t = pa.Table.from_batches([b])
+            buf = t if buf is None else pa.concat_tables([buf, t])
+            while buf.num_rows >= BATCH_ROWS:
+                yield buf.slice(0, BATCH_ROWS)
+                buf = buf.slice(BATCH_ROWS)
+    if buf is not None and buf.num_rows:
+        yield buf
+
+
+@ray.remote
+def _extract_group(files, tmp, g, skip_bad_files, text_fn, records_fn,
+                   alias, lang_allow) -> dict:
+    """Phase-A task: one file group of one chunk. Each BATCH_ROWS-page
+    batch runs both kernels, and each record kind streams through one zstd
+    writer into ``tmp/kind=<k>/part-<g:05d>.parquet`` (the 19 record
+    columns; kind and chunk are the path). ``alias`` is ``[ref]``: nested,
+    so the kernel gets the ref itself, which its worker cache keys by.
+    With ``skip_bad_files`` a file whose footer does not parse is
+    quarantined; any later read error fails the task. Returns the pages
+    read, the rows written per kind and the quarantined file names."""
+    bad = []
+    if skip_bad_files:
+        for f in files:
+            try:
+                pq.ParquetFile(f)
+            except pa.ArrowInvalid:
+                bad.append(f)
+    pages, rows, writers = 0, Counter(), {}
+    try:
+        for batch in _page_batches([f for f in files if f not in bad]):
+            pages += batch.num_rows
+            recs = records_fn(text_fn(batch), alias_ref=alias[0],
+                              lang_allow=lang_allow)
+            for kind in recs["kind"].unique().to_pylist():
+                t = recs.filter(pc.equal(recs["kind"], kind)).drop_columns(
+                    ["kind", "chunk"])
+                if kind not in writers:
+                    d = os.path.join(tmp, f"kind={kind}")
+                    os.makedirs(d, exist_ok=True)
+                    writers[kind] = pq.ParquetWriter(
+                        os.path.join(d, f"part-{g:05d}.parquet"), t.schema,
+                        compression="zstd")
+                writers[kind].write_table(t)
+                rows[kind] += t.num_rows
+    finally:
+        for w in writers.values():
+            w.close()
+    return {"pages": pages, "rows": rows,
+            "quarantined": [os.path.basename(f) for f in bad]}
+
+
+def _commit_chunk(out: str, cid: int, files: list[str], parts: list[dict],
+                  started: float) -> int:
+    """Promote chunk ``cid``'s tmp dir, then write its manifest (so a
+    manifest implies complete output); returns its page count."""
+    mf.atomic_replace_dir(_chunk_tmp(out, cid), _records_dir(out, cid))
+    rows = sum((p["rows"] for p in parts), Counter())
+    payload = {
+        "status": "success",
+        "chunk_id": cid,
+        "input_files": files,
+        "row_count": sum(p["pages"] for p in parts),
+        "wall_s": round(time.perf_counter() - started, 3),
+        "output_rows": dict(sorted(rows.items())),
+    }
+    bad = sorted(b for p in parts for b in p["quarantined"])
+    if bad:
+        payload["quarantined"] = bad
+    mf.write_manifest(out, cid, payload)
+    return payload["row_count"]
+
+
+def _chunk_tmp(out: str, cid: int) -> str:
+    # beside extracted/, never in it: _kind_files globs extracted/chunk=*
+    return os.path.join(out, f".chunk-{cid:05d}.tmp")
+
+
 def run_phase_a(cfg: KGConfig) -> dict:
-    """Per-chunk extract + link; returns metrics."""
+    """Per-chunk extract + link; returns metrics. Each pending chunk is
+    split into file groups (runtime.file_groups), one _extract_group task
+    each, at most 2 x cluster CPUs in flight. A chunk is promoted and its
+    manifest written as soon as its last task returns. On a task error no
+    more tasks are submitted; the chunks that finish are committed, then
+    the first error is raised."""
     _check_layout(cfg.out_dir, cfg)
     chunks = plan_chunks(cfg.pages_dir, cfg.chunk_files)
     planned = list(range(len(chunks)))
@@ -350,166 +415,56 @@ def run_phase_a(cfg: KGConfig) -> dict:
     if cfg.max_chunks is not None:
         pending = pending[: cfg.max_chunks]
 
-    alias_ref = ray.put(cfg.alias_dict())
-    cpus = cluster_cpus()
-    # Only used when cfg.use_actor_pool: a fixed-size pool (autoscaling from
-    # a small min never ramps up within short runs) that leaves CPUs for the
-    # read/write stages — a pool reserving every CPU starves the rest of the
-    # pipeline and it serializes.
-    pool_max = max(1, cpus - 2)
-    extract_pool = cfg.extract_concurrency or pool_max
     t0 = time.perf_counter()
+    alias = [ray.put(cfg.alias_dict())]
+    groups = {cid: file_groups(chunks[cid]) for cid in pending}
+    todo = iter([(cid, g, files) for cid in pending
+                 for g, files in enumerate(groups[cid])])
+    limit = 2 * cluster_cpus()
+    started: dict[int, float] = {}
+    parts: dict[int, list[dict]] = {cid: [] for cid in pending}
+    running: dict = {}  # task ref -> chunk id
+    error = None
     n_pages = 0
-
-    # Pending chunks are processed in commit groups. Each group is ONE
-    # streaming Dataset execution (one actor-pool spin-up, one write) whose
-    # output is hive-partitioned by chunk id, then promoted chunk-by-chunk
-    # with a manifest each — so resume granularity stays per-chunk across
-    # runs while execution overhead is per-group. cfg.commit_group trades
-    # crash-recovery granularity against per-execution fixed cost.
-    group_size = cfg.commit_group or len(pending) or 1
-    for g in range(0, len(pending), group_size):
-        group = pending[g : g + group_size]
-        tstart = time.perf_counter()
-        group_tmp = os.path.join(cfg.out_dir, f".group-{group[0]:05d}.tmp")
-        mf.clear_stale_tmp(group_tmp)
-        os.makedirs(group_tmp, exist_ok=True)
-
-        # one read over every file in the group; per-row lineage comes from
-        # the file path (tiny path->chunk dict shipped by value), so the
-        # whole chain stays ONE fused task operator (per-chunk dataset
-        # unions fragment fusion and halve throughput — measured).
-        path_to_chunk = {
-            os.path.abspath(f): f"{cid:05d}" for cid in group for f in chunks[cid]
-        }
-        group_files = [f for cid in group for f in chunks[cid]]
-        quarantined: dict[int, list[str]] = {cid: [] for cid in group}
-        if cfg.skip_bad_files:
-            probes = ray.get(
-                [_probe_parquet.remote(f) for f in group_files]
-            )
-            bad = {f for f, ok in zip(group_files, probes) if not ok}
-            if bad:
-                for cid in group:
-                    quarantined[cid] = sorted(
-                        os.path.basename(f) for f in chunks[cid] if f in bad
-                    )
-                group_files = [f for f in group_files if f not in bad]
-                path_to_chunk = {
-                    p: c
-                    for p, c in path_to_chunk.items()
-                    if p not in {os.path.abspath(f) for f in bad}
-                }
-        if not group_files:
-            # every file in the group quarantined (crash-mid-upload of a
-            # whole shard batch): nothing to read — still commit empty
-            # chunk outputs + manifests so the run records the quarantine
-            # and resume does not retry forever
-            group_wall = round(time.perf_counter() - tstart, 3)
-            for cid in group:
-                src = os.path.join(group_tmp, f"chunk={cid:05d}")
-                os.makedirs(src, exist_ok=True)
-                mf.atomic_replace_dir(src, _records_dir(cfg.out_dir, cid))
-                mf.write_manifest(
-                    cfg.out_dir,
-                    cid,
-                    {
-                        "status": "success",
-                        "chunk_id": cid,
-                        "input_files": chunks[cid],
-                        "row_count": 0,
-                        "group_id": group[0],
-                        "group_wall_s": group_wall,
-                        "output_rows": _output_rows(cfg.out_dir, cid),
-                        "quarantined": quarantined.get(cid, []),
-                    },
-                )
-            mf.clear_stale_tmp(group_tmp)
+    while True:
+        while error is None and len(running) < limit:
+            nxt = next(todo, None)
+            if nxt is None:
+                break
+            cid, g, files = nxt
+            tmp = _chunk_tmp(cfg.out_dir, cid)
+            if cid not in started:
+                started[cid] = time.perf_counter()
+                mf.clear_stale_tmp(tmp)
+                os.makedirs(tmp)
+            # the kernels are read from this module's attributes here, on
+            # the driver, so a wrapper installed there (the benchmark's
+            # span) is the one the tasks run
+            running[_extract_group.remote(
+                files, tmp, g, cfg.skip_bad_files, extract_text_batch,
+                extract_records_batch, alias, cfg.lang_allow)] = cid
+        if not running:
+            break
+        [ref], _ = ray.wait(list(running), num_returns=1)
+        cid = running.pop(ref)
+        try:
+            parts[cid].append(ray.get(ref))
+        except ray.exceptions.RayError as e:  # raised once the rest drain
+            error = error or e
             continue
-        # Prune at the read: phase A re-extracts text from html, so the
-        # input's `text` column (populated on a real crawl per input_hint,
-        # ~3 KB/page) must never leave storage — only the four columns the
-        # extractor consumes (+ the lineage path column).
-        pages = rd.read_parquet(
-            group_files,
-            columns=["url", "warc_ts", "html", "lang"],
-            include_paths=True,
-        )
-        text_ds = pages.map_batches(
-            extract_text_batch,
-            fn_kwargs={"path_to_chunk": path_to_chunk},
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-        )
-        if cfg.use_actor_pool:
-            records = text_ds.map_batches(
-                TripleExtractor,
-                fn_constructor_kwargs={
-                    "lang_allow": cfg.lang_allow,
-                    "alias_ref": alias_ref,
-                },
-                batch_format="pyarrow",
-                batch_size=cfg.batch_size,
-                concurrency=extract_pool,
-            )
-        else:
-            records = text_ds.map_batches(
-                extract_records_batch,
-                fn_kwargs={
-                    "alias_ref": alias_ref,
-                    "lang_allow": cfg.lang_allow,
-                },
-                batch_format="pyarrow",
-                batch_size=cfg.batch_size,
-            )
-        records.write_parquet(group_tmp, partition_cols=["chunk", "kind"], compression="zstd")
-
-        group_wall = round(time.perf_counter() - tstart, 3)
-        for cid in group:
-            src = os.path.join(group_tmp, f"chunk={cid:05d}")
-            if not os.path.isdir(src):
-                os.makedirs(src, exist_ok=True)  # chunk produced no rows
-            mf.atomic_replace_dir(src, _records_dir(cfg.out_dir, cid))
-            bad_names = set(quarantined.get(cid, ()))
-            rows = sum(
-                pq.read_metadata(f).num_rows
-                for f in chunks[cid]
-                if os.path.basename(f) not in bad_names
-            )
-            n_pages += rows
-            # one execution serves the whole commit group, so its wall time
-            # is recorded as the GROUP's (shared by its chunks, keyed by
-            # group_id = the group's first chunk); what is per chunk is
-            # read from the promoted files' parquet footers
-            payload = {
-                "status": "success",
-                "chunk_id": cid,
-                "input_files": chunks[cid],
-                "row_count": rows,
-                "group_id": group[0],
-                "group_wall_s": group_wall,
-                "output_rows": _output_rows(cfg.out_dir, cid),
-            }
-            if bad_names:
-                payload["quarantined"] = sorted(bad_names)
-            mf.write_manifest(cfg.out_dir, cid, payload)
-        mf.clear_stale_tmp(group_tmp)
+        if len(parts[cid]) == len(groups[cid]):
+            n_pages += _commit_chunk(cfg.out_dir, cid, chunks[cid],
+                                     parts[cid], started[cid])
+    if error is not None:
+        for cid in started:
+            mf.clear_stale_tmp(_chunk_tmp(cfg.out_dir, cid))
+        raise error
     return {
         "chunks_total": len(chunks),
         "chunks_processed": len(pending),
         "pages_processed": n_pages,
         "phase_a_wall_s": round(time.perf_counter() - t0, 3),
     }
-
-
-def _output_rows(out_dir: str, cid: int) -> dict[str, int]:
-    """Rows per record kind of a promoted chunk, from parquet footers."""
-    rows: dict[str, int] = {}
-    for f in glob.glob(os.path.join(_records_dir(out_dir, cid), "kind=*",
-                                    "*.parquet")):
-        kind = os.path.basename(os.path.dirname(f))[len("kind="):]
-        rows[kind] = rows.get(kind, 0) + pq.read_metadata(f).num_rows
-    return dict(sorted(rows.items()))
 
 
 def _kind_files(out_dir, kind: str) -> list[str]:

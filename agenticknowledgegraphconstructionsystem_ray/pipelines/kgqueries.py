@@ -351,9 +351,9 @@ def kg_lineage(sf_dir: str):
     """Per-partition lineage ledger: one row per processing chunk from the
     committed ``_manifests/chunk-*.json`` manifests (the reference's
     extraction_logs analog, ``db_init.py:150-159``). Deterministic columns
-    only — (chunk_id, n_files, n_pages, status); the commit group's
-    group_wall_s and the per-kind output_rows stay in the manifest but not
-    in the oracle-checked surface. Oracle: golden-file
+    only — (chunk_id, n_files, n_pages, status); the chunk's wall_s and
+    per-kind output_rows stay in the manifest but not in the
+    oracle-checked surface. Oracle: golden-file
     recompute of the chunk plan + per-file page counts
     (goldens._seq_lineage)."""
     import pyarrow as pa

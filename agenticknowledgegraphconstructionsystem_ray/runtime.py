@@ -21,16 +21,23 @@ def file_groups(files: list) -> list:
     """``files`` split into contiguous groups, one task each: one group per
     cluster CPU (never more groups than files), raised only when the
     files' uncompressed bytes (from their footers) per group would exceed
-    Ray's target block size. Contiguous, so concatenating the groups'
-    outputs in group order keeps the files' order."""
+    Ray's target block size. A file whose footer does not parse counts no
+    bytes; the task that reads it reports it. Contiguous, so
+    concatenating the groups' outputs in group order keeps the files'
+    order."""
+    import pyarrow as pa
     import pyarrow.parquet as pq
     from ray.data import DataContext
 
-    n_bytes = sum(
-        md.row_group(g).total_byte_size
-        for md in map(pq.read_metadata, files)
-        for g in range(md.num_row_groups)
-    )
+    def footer_bytes(f) -> int:
+        try:
+            md = pq.read_metadata(f)
+        except pa.ArrowInvalid:  # unreadable footer: its reader reports it
+            return 0
+        return sum(md.row_group(g).total_byte_size
+                   for g in range(md.num_row_groups))
+
+    n_bytes = sum(map(footer_bytes, files))
     target = DataContext.get_current().target_max_block_size
     n = min(len(files), max(cluster_cpus(), -(-n_bytes // target)))
     cut = [len(files) * i // n for i in range(n + 1)]

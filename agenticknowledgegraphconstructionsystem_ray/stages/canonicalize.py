@@ -202,19 +202,29 @@ EDGE_COLUMNS = ["subj_id", "pred", "obj_id", "subj", "obj",
 
 
 def lookup_norms(
-    col: pa.ChunkedArray, id_map: pa.Table
-) -> tuple[pa.Array, pa.Array]:
-    """(entity ids, names) of a norm column through the ``ID_MAP_SCHEMA``
-    ``id_map``, with the ``(-1, norm)`` unknown sentinel for a miss.
-    Dictionary-encodes the column (Zipf-heavy: few uniques per batch) and
-    resolves only the DICTIONARY with one ``index_in``, then takes."""
-    enc = pc.dictionary_encode(col.combine_chunks())
-    if isinstance(enc, pa.ChunkedArray):
-        enc = enc.combine_chunks()
-    at = pc.index_in(enc.dictionary, value_set=id_map["member_norm"])
+    cols: list[pa.ChunkedArray], id_map: pa.Table
+) -> list[tuple[pa.Array, pa.Array]]:
+    """(entity ids, names) of each norm column through the
+    ``ID_MAP_SCHEMA`` ``id_map``, with the ``(-1, norm)`` unknown sentinel
+    for a miss. Dictionary-encodes each column (Zipf-heavy: few uniques
+    per batch), resolves all the DICTIONARIES with one ``index_in`` (one
+    hash table over the id map), then takes."""
+    encs = []
+    for col in cols:
+        enc = pc.dictionary_encode(col.combine_chunks())
+        encs.append(enc.combine_chunks()
+                    if isinstance(enc, pa.ChunkedArray) else enc)
+    uniques = pa.concat_arrays([e.dictionary for e in encs])
+    at = pc.index_in(uniques, value_set=id_map["member_norm"])
     ids = pc.fill_null(pc.take(id_map["entity_id"], at), -1)
-    names = pc.coalesce(pc.take(id_map["canonical_name"], at), enc.dictionary)
-    return pc.take(ids, enc.indices), pc.take(names, enc.indices)
+    names = pc.coalesce(pc.take(id_map["canonical_name"], at), uniques)
+    out, lo = [], 0
+    for e in encs:
+        n = len(e.dictionary)
+        out.append((pc.take(ids.slice(lo, n), e.indices),
+                    pc.take(names.slice(lo, n), e.indices)))
+        lo += n
+    return out
 
 
 def edge_table(t: pa.Table, subj, obj) -> pa.Table:
@@ -352,8 +362,8 @@ def apply_ids_batch(batch: pa.Table, *, id_map: pa.Table) -> pa.Table:
     ``ID_MAP_SCHEMA`` ``id_map``. Phase B passes the map as a top-level
     task argument, so Ray hands each task the broadcast table itself,
     read zero-copy from the local object store."""
-    return edge_table(batch, lookup_norms(batch["subj_norm"], id_map),
-                      lookup_norms(batch["obj_norm"], id_map))
+    subj, obj = lookup_norms([batch["subj_norm"], batch["obj_norm"]], id_map)
+    return edge_table(batch, subj, obj)
 
 
 # Dedup KEY includes the carried subj/obj names: for resolved ids they are

@@ -3,9 +3,8 @@
 Reference analog: the EntityExtractionAgent + RelationshipDiscoveryAgent pair
 (``/root/reference/agents/src/agents/entity-extraction-agent.ts:30-79``,
 ``relationship-discovery-agent.ts:65-120``), re-expressed as ONE deterministic
-actor-pool ``map_batches`` stage (SURVEY.md T1/T2): state (the broadcast alias
-dict) is fetched once per actor in ``__init__``; ``__call__`` processes an
-Arrow batch of extracted pages.
+stage (SURVEY.md T1/T2): state (the broadcast alias dict) is fetched once in
+``__init__``; ``__call__`` processes an Arrow batch of extracted pages.
 
 The per-page kernel is the document-level scanner
 ``functions/triples.scan_mentions_and_triples`` (one regex pass for sentence
@@ -14,12 +13,12 @@ their norms and its triples carry ``subj_norm``/``obj_norm``, so this stage
 normalizes no surface itself except the alias canonicals, once per actor.
 The per-token ``extract_mentions_and_triples`` is the sequential reference
 that only the oracles (``oracle.py``, ``goldens.py``) run, so the oracle
-checks compare two independent implementations. Both the task path
-(``extract_records_batch``) and the actor-pool path run this one stage.
+checks compare two independent implementations. Phase A's tasks run it
+through ``extract_records_batch``, which caches one instance per worker.
 
 Output is a single kind-tagged record table (``kind`` in {"page", "mention",
 "triple", "mcount"}) so ONE extraction pass feeds every downstream table;
-the writer splits it with ``partition_cols=["chunk", "kind"]``:
+phase A's task writes each kind to its own file (``kind=<k>/``):
 - "page" rows carry the extracted text (the byte-identical artifact),
 - "mention"/"triple" rows are the per-page extraction results,
 - "mcount" rows are batch-level mention-count partials (see MCOUNT_COLUMNS).
@@ -74,7 +73,7 @@ RECORD_FIELDS = [
     ("obj_norm", pa.string()),
     ("confidence", pa.float64()),
     ("link_score", pa.float64()),  # mention rows: 1.0 alias hit / 0.0 unknown
-    ("chunk", pa.string()),  # lineage partition tag (resume unit)
+    ("chunk", pa.string()),  # lineage tag; on disk the chunk is the dir
 ]
 RECORD_SCHEMA = pa.schema(RECORD_FIELDS)
 
@@ -146,8 +145,7 @@ class TripleExtractor:
     broadcast pattern — dict fetched from the object store once per actor)
     is FUSED into this stage: mention rows get ``ent_type`` (closed enum,
     'concept' fallback) and ``link_score`` inline, so the full record stream
-    (including page text) is not re-serialized through a second pool. The
-    standalone ``stages/linking.EntityLinker`` remains for modular use.
+    (including page text) is not re-serialized through a second pool.
     """
 
     def __init__(

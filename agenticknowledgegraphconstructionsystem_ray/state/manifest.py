@@ -6,9 +6,10 @@ Filesystem port of the reference's ``extraction_logs`` ledger
 skip-if-done ``extract_and_populate.py:171-175``):
 
 - every completed processing chunk writes ``_manifests/chunk-{id}.json``
-  with input files, input page count, output rows per record kind (from
-  the promoted files' parquet footers), status, and the id and wall time
-  of the commit group that produced it (one execution serves a group);
+  as soon as its last phase-A task returns, with input files, input page
+  count, output rows per record kind (as counted by the tasks that wrote
+  them), status, its wall time (first task submitted -> promotion) and
+  any quarantined input files;
 - a re-run plans chunks, anti-joins against existing manifests (driver-side
   set difference — the planned chunk list is tiny), and only processes the
   remainder;

@@ -494,7 +494,7 @@ def run_warm_model() -> dict:
     rd.DataContext.get_current().enable_progress_bars = False
 
     from agenticknowledgegraphconstructionsystem_ray import synth
-    from agenticknowledgegraphconstructionsystem_ray.pipelines import kgqueries
+    from agenticknowledgegraphconstructionsystem_ray.pipelines import kg, kgqueries
     from agenticknowledgegraphconstructionsystem_ray.stages.extract import (
         extract_text_batch,
     )
@@ -511,7 +511,7 @@ def run_warm_model() -> dict:
     _warm_cache(files)
     alias_ref = ray.put(synth.alias_dict())
     pool = max(1, ncpu - 2)
-    batch_size = 256  # KGConfig default
+    batch_size = kg.BATCH_ROWS  # the pipeline's extraction batch
 
     # worker-pool warmup (same rationale as run_bench)
     rd.range(ncpu * 2, override_num_blocks=ncpu * 2).map_batches(

@@ -362,3 +362,42 @@ def test_relevant_split_matches_full_vocabulary_union_find(case):
     assert id_map.schema == ID_MAP_SCHEMA
     assert id_map_dict(id_map) == want_map
     assert id_map.num_rows == len(want_map)
+
+
+def test_apply_ids_builds_one_hash_table(monkeypatch):
+    """apply_ids_batch resolves the subj and obj norms with ONE index_in,
+    so the id map is hashed once per batch, and keeps the (-1, norm)
+    sentinel for a miss."""
+    import pyarrow.compute as pc
+
+    from agenticknowledgegraphconstructionsystem_ray.stages.canonicalize import (
+        apply_ids_batch,
+    )
+
+    calls = []
+    orig = pc.index_in
+
+    def spy(*a, **k):
+        calls.append(1)
+        return orig(*a, **k)
+
+    monkeypatch.setattr(pc, "index_in", spy)
+    id_map = pa.table({"member_norm": ["nerf", "neural radiance fields", "gan"],
+                       "entity_id": pa.array([1, 1, 0], pa.int64()),
+                       "canonical_name": ["NeRF", "NeRF", "GAN"]},
+                      schema=ID_MAP_SCHEMA)
+    batch = pa.table({
+        "url": ["u1", "u2", "u3"],
+        "warc_ts": pa.array([0, 0, 0], pa.timestamp("us")),
+        "subj_norm": ["nerf", "gan", "foo"],
+        "pred": ["uses", "uses", "uses"],
+        "obj_norm": ["gan", "bar", "neural radiance fields"],
+        "confidence": [0.5, 0.5, 0.5],
+        "context": ["c", "c", "c"],
+    })
+    out = apply_ids_batch(batch, id_map=id_map)
+    assert len(calls) == 1
+    assert out["subj_id"].to_pylist() == [1, 0, -1]
+    assert out["obj_id"].to_pylist() == [0, -1, 1]
+    assert out["subj"].to_pylist() == ["NeRF", "GAN", "foo"]
+    assert out["obj"].to_pylist() == ["GAN", "bar", "NeRF"]

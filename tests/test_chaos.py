@@ -39,7 +39,7 @@ class _Killer(threading.Thread):
     """Kills up to ``n`` busy workers, one every ``period`` seconds, while
     the pipeline runs on the main thread."""
 
-    def __init__(self, n: int = 3, period: float = 0.4):
+    def __init__(self, n: int = 3, period: float = 0.1):
         super().__init__(daemon=True)
         self.n, self.period = n, period
         self.killed = 0
@@ -76,7 +76,7 @@ def test_pipeline_survives_worker_kills(ray_session, tmp_path):
                                 chunk_files=2))
 
     chaos_out = str(tmp_path / "chaos")
-    killer = _Killer(n=3, period=0.4)
+    killer = _Killer(n=3, period=0.1)
     killer.start()
     try:
         kg.run_pipeline(kg.KGConfig(pages_dir=pages, out_dir=chaos_out,

@@ -1,6 +1,6 @@
 """The documented KGConfig branches must produce the same graph as the
-default path: actor-pool extraction, per-chunk commit groups, and the
-global-edge-dedup shuffle (incl. the duplicate-url corpus it exists for)."""
+default path: the global edge dedup (incl. the duplicate-url corpus it
+exists for) and the refusal of a foreign output directory."""
 
 import glob
 import os
@@ -31,27 +31,6 @@ def default_edges(small_pages, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("cfg_default"))
     kg.run_pipeline(kg.KGConfig(pages_dir=small_pages, out_dir=out, chunk_files=2))
     return _edges(out)
-
-
-def test_actor_pool_path_equal(small_pages, tmp_path, default_edges):
-    out = str(tmp_path / "actor")
-    kg.run_pipeline(
-        kg.KGConfig(
-            pages_dir=small_pages, out_dir=out, chunk_files=2,
-            use_actor_pool=True, extract_concurrency=2,
-        )
-    )
-    assert _edges(out).equals(default_edges)
-
-
-def test_commit_group_path_equal(small_pages, tmp_path, default_edges):
-    out = str(tmp_path / "groups")
-    kg.run_pipeline(
-        kg.KGConfig(
-            pages_dir=small_pages, out_dir=out, chunk_files=2, commit_group=1,
-        )
-    )
-    assert _edges(out).equals(default_edges)
 
 
 def test_global_dedup_noop_on_unique_urls(small_pages, tmp_path, default_edges):

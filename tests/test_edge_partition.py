@@ -95,16 +95,28 @@ def _edge_files(out):
     return sorted(glob.glob(os.path.join(out, "edges", "*.parquet")))
 
 
+def _built_files(out):
+    """Edge and phase-A record files of a run, relative to its out dir."""
+    return sorted(
+        os.path.relpath(f, out)
+        for pattern in ("edges/*.parquet", "extracted/*/*/*.parquet")
+        for f in glob.glob(os.path.join(out, pattern)))
+
+
 def test_two_builds_write_identical_edge_files(kg_out, pages_dir, tmp_path):
+    """Two builds of one corpus write the same edge and phase-A record
+    files: same names, same bytes."""
     out, _ = kg_out
     again = str(tmp_path / "again")
     kg.run_pipeline(kg.KGConfig(pages_dir=pages_dir, out_dir=again,
                                 chunk_files=2))
-    names = [os.path.basename(f) for f in _edge_files(out)]
-    assert names == [os.path.basename(f) for f in _edge_files(again)]
-    for a, b in zip(_edge_files(out), _edge_files(again)):
-        with open(a, "rb") as fa, open(b, "rb") as fb:
-            assert fa.read() == fb.read(), a
+    names = _built_files(out)
+    assert names == _built_files(again)
+    assert any(n.startswith("extracted") for n in names)
+    for n in names:
+        with open(os.path.join(out, n), "rb") as fa, \
+                open(os.path.join(again, n), "rb") as fb:
+            assert fa.read() == fb.read(), n
 
 
 @pytest.mark.parametrize("global_edge_dedup", [False, True])

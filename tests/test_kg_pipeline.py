@@ -295,6 +295,30 @@ def test_phase_b_creates_no_dataset(kg_out, tmp_path, monkeypatch):
     assert made
 
 
+def test_run_pipeline_creates_no_dataset(pages_dir, tmp_path, monkeypatch):
+    """A whole build runs no Ray Data: phase A is plain tasks over each
+    chunk's file groups, phase B as above."""
+    import ray.data as rd
+
+    from agenticknowledgegraphconstructionsystem_ray.pipelines import kg
+
+    made = []
+    orig = rd.Dataset.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "__init__", spy)
+    res = kg.run_pipeline(kg.KGConfig(pages_dir=pages_dir,
+                                      out_dir=str(tmp_path / "out"),
+                                      chunk_files=2))
+    assert res["pages_processed"] == 300 and res["n_edges"] > 0
+    assert made == []
+    rd.from_items([{"x": 1}])  # control: the spy sees a Dataset being made
+    assert made
+
+
 def test_pages_needing_edges_nonempty(ray_session, tmp_path):
     """A page that links an entity but yields no SVO triple must appear in
     pages_needing_edges (the getPapersNeedingRelationships analog); pages

@@ -6,7 +6,10 @@ database.ts:66-81)."""
 import glob
 import os
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import pytest
 
 from agenticknowledgegraphconstructionsystem_ray.pipelines import kg
 from agenticknowledgegraphconstructionsystem_ray.state import manifest as mf
@@ -56,27 +59,82 @@ def test_manifest_commit_is_atomic(tmp_path):
     assert mf.pending_chunks(out, [2, 3, 4, 5]) == [2, 4, 5]
 
 
-def test_manifest_group_wall_and_per_chunk_output_rows(kg_out):
-    """One execution serves a whole commit group, so its chunks share the
-    group's id and wall time (recorded as such, not as a per-chunk wall
-    time); what each manifest records per chunk is read from that chunk's
-    promoted parquet files."""
+def test_manifest_per_chunk_wall_and_output_rows(kg_out):
+    """Each chunk is committed on its own, so each manifest records its own
+    wall time and no commit-group fields; its per-kind output rows equal
+    the footers of the chunk's promoted parquet files."""
     out, _ = kg_out
     ms = [mf.read_manifest(out, c) for c in sorted(mf.completed_chunks(out))]
     assert len(ms) >= 2
-    assert len({m["group_id"] for m in ms}) == 1
-    assert len({m["group_wall_s"] for m in ms}) == 1
-    assert all("wall_s" not in m for m in ms)
     for m in ms:
+        assert m["wall_s"] > 0
+        assert not [k for k in m if k.startswith("group")]
         chunk_dir = os.path.join(out, "extracted", f"chunk={m['chunk_id']:05d}")
         want = {}
         for d in sorted(glob.glob(os.path.join(chunk_dir, "kind=*"))):
             files = sorted(glob.glob(os.path.join(d, "*.parquet")))
             want[os.path.basename(d)[len("kind="):]] = sum(
-                pq.read_table(f).num_rows for f in files)
+                pq.read_metadata(f).num_rows for f in files)
         assert m["output_rows"] == want
         # every input page leaves one page record
         assert m["output_rows"]["page"] == m["row_count"] > 0
+
+
+def _records(out, kind):
+    """One chunk-tagged table of a run's records of ``kind``, sorted."""
+    tables = []
+    for d in sorted(glob.glob(os.path.join(out, "extracted", "chunk=*"))):
+        files = sorted(glob.glob(os.path.join(d, f"kind={kind}", "*.parquet")))
+        if files:
+            t = pa.concat_tables([pq.ParquetFile(f).read() for f in files])
+            tables.append(t.append_column(
+                "chunk", pa.array([os.path.basename(d)] * t.num_rows)))
+    t = pa.concat_tables(tables)
+    return t.sort_by([(c, "ascending") for c in t.column_names
+                      if not pa.types.is_floating(t.schema.field(c).type)])
+
+
+def test_failure_mid_run_keeps_finished_chunks(pages_dir, kg_out, tmp_path,
+                                               monkeypatch):
+    """A kernel that raises on the last chunk's pages makes run_phase_a
+    raise; every earlier chunk is still committed (manifest + promoted
+    dir, records equal to a clean run's) and no tmp dir is left. A rerun
+    without the fault extracts only that chunk, and its edges equal a
+    clean run's."""
+    baseline_out, _ = kg_out
+    out = str(tmp_path / "out_fail")
+    chunks = kg.plan_chunks(pages_dir, 2)
+    last = len(chunks) - 1
+    poisoned = set(pq.read_table(chunks[last], columns=["url"])["url"]
+                   .to_pylist())
+    orig = kg.extract_text_batch
+
+    def failing(batch, **kw):
+        if poisoned & set(batch["url"].to_pylist()):
+            raise RuntimeError("poisoned page")
+        return orig(batch, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(kg, "extract_text_batch", failing)
+        with pytest.raises(Exception, match="poisoned page"):
+            kg.run_phase_a(kg.KGConfig(pages_dir=pages_dir, out_dir=out,
+                                       chunk_files=2))
+
+    assert mf.completed_chunks(out) == set(range(last))
+    assert not os.path.exists(
+        os.path.join(out, "extracted", f"chunk={last:05d}"))
+    assert not glob.glob(os.path.join(out, ".chunk-*.tmp"))
+    assert not glob.glob(os.path.join(out, "extracted", "*.tmp"))
+    for kind in ("page", "mention", "triple"):
+        clean = _records(baseline_out, kind)
+        done = _records(out, kind)
+        assert done.equals(clean.filter(
+            pc.not_equal(clean["chunk"], f"chunk={last:05d}"))), kind
+
+    cfg = kg.KGConfig(pages_dir=pages_dir, out_dir=out, chunk_files=2)
+    m = kg.run_pipeline(cfg)
+    assert m["chunks_processed"] == 1
+    assert _edges(out).equals(_edges(baseline_out))
 
 
 def test_lineage_query_matches_chunk_plan(ray_session):
