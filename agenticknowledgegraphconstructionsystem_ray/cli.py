@@ -278,8 +278,8 @@ def main(argv: list[str] | None = None) -> int:
 
         # 4. link table: the base aggregate (a prior update's merged table
         # when chaining, else built from --base-pages) + delta-only scan,
-        # merged without a shuffle: one task per base file sums the file
-        # with its bucket range of the broadcast delta
+        # merged without a shuffle: one reduce task per base file sums the
+        # file with the delta's slices of its bucket range
         # (weblinks.merge_link_tables)
         delta_files = sorted(
             _glob.glob(_os.path.join(args.delta_pages, "*.parquet")))
@@ -300,13 +300,13 @@ def main(argv: list[str] | None = None) -> int:
             base_links, delta_files, _os.path.join(args.out, "links")))
 
         # manifests that make THIS out dir usable as the next --base-out,
-        # each written whole or not at all (tmp -> os.replace)
-        for name, value in (("_RUNS", base_runs + [delta_out]),
-                            ("_FTS", list(base_fts) + [fts_delta])):
-            path = _os.path.join(args.out, name)
-            with open(path + ".tmp", "w") as f:
-                json.dump(value, f)
-            _os.replace(path + ".tmp", path)
+        # each written whole or not at all
+        from .state.manifest import write_json_atomic
+
+        write_json_atomic(_os.path.join(args.out, "_RUNS"),
+                          base_runs + [delta_out])
+        write_json_atomic(_os.path.join(args.out, "_FTS"),
+                          list(base_fts) + [fts_delta])
 
         # 5. optional driver-table deltas (ANN coding, MinHash bands)
         if args.sf_dir:

@@ -36,16 +36,19 @@ overwrite** (reference analog: concept upserts + validation, §3.2-3.4):
       -> nodes + Arrow id map (member_norm, entity_id, canonical_name),
          broadcast once; entity issues on the driver (columnar rules)
     triple files -> P contiguous groups (runtime.file_groups, one per CPU);
-    the driver cuts [0, n_nodes) into P equal-width subject-id ranges
+    the driver cuts [0, n_nodes) into P equal-width subject-id ranges;
+    ONE runtime.range_exchange keyed on subj_id (plain Ray tasks):
       -> P map tasks: read a group and apply_ids_batch [broadcast id map,
          ONE index_in over the batch's subj+obj uniques], validate_edges_batch,
          ONE Arrow sort_by, slice at the cuts
       -> P reduce tasks: range p concatenates its own slices [+ global
-         dedup], sort_by, writes edges/<p>.parquet and runs
+         dedup], sort_by, writes edges/part-<p>.parquet and runs
          edge_issues_batch on the same table -> validation/issues/,
          (severity, rule) counts back
     the summed counts + an entity-issue sample -> validation-results.json.
-    edges/ is never read back.
+    edges/ is never read back. The link table and the FTS segments
+    (weblinks, kgqueries) are built by plain tasks too: no KG build step,
+    cold or incremental, runs Ray Data.
 
 Scale notes: edge dedup happens at source (per page, canonical key known
 from the alias dict) and mention counting is pre-aggregated at extraction
@@ -74,7 +77,13 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..runtime import cluster_cpus, file_groups
+from ..runtime import (
+    cluster_cpus,
+    equal_cuts,
+    file_groups,
+    range_exchange,
+    write_part,
+)
 from ..stages.canonicalize import (
     apply_ids_batch,
     build_entity_table,
@@ -143,8 +152,20 @@ class KGConfig:
         return _semantic_fingerprint(self)
 
 
+def input_files(pages_dir: str) -> list[tuple[str, int, int]]:
+    """(path, size, mtime_ns) of every input file, sorted by path: the one
+    listing behind the chunk plan and the input identity. Identity is
+    (basename, size, mtime_ns), NOT basename alone: a regenerated corpus
+    reusing the same shard names must invalidate the chunks it feeds."""
+    out = []
+    for f in sorted(glob.glob(os.path.join(pages_dir, "*.parquet"))):
+        st = os.stat(f)
+        out.append((f, st.st_size, st.st_mtime_ns))
+    return out
+
+
 def plan_chunks(pages_dir: str, chunk_files: int) -> list[list[str]]:
-    files = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
+    files = [f for f, _, _ in input_files(pages_dir)]
     if not files:
         raise FileNotFoundError(f"no parquet files under {pages_dir}")
     return [files[i : i + chunk_files] for i in range(0, len(files), chunk_files)]
@@ -168,11 +189,8 @@ def _config_fingerprint(cfg: "KGConfig") -> str:
     rebuild rather than reuse a completed run of the old content."""
     import hashlib
 
-    files = sorted(glob.glob(os.path.join(cfg.pages_dir, "*.parquet")))
-    ident = []
-    for f in files:
-        st = os.stat(f)
-        ident.append((os.path.basename(f), st.st_size, st.st_mtime_ns))
+    ident = [(os.path.basename(f), size, mtime)
+             for f, size, mtime in input_files(cfg.pages_dir)]
     return hashlib.sha1(
         repr((cfg._semantic_fp, tuple(ident))).encode()
     ).hexdigest()
@@ -227,24 +245,13 @@ def _check_layout(out_dir: str, cfg: "KGConfig") -> None:
     its contents."""
     import shutil
 
-    import json
-
     fp = _config_fingerprint(cfg)
     os.makedirs(out_dir, exist_ok=True)
     marker = os.path.join(out_dir, "_LAYOUT")
     current = open(marker).read() if os.path.exists(marker) else None
-    # per-file identity is (basename, size, mtime_ns), NOT basename alone:
-    # a regenerated corpus reusing the same shard names must invalidate
-    # the chunks it feeds, or resume would keep stale extracted text and
-    # rebuild phase B from it
-    files = []
-    for f in sorted(glob.glob(os.path.join(cfg.pages_dir, "*.parquet"))):
-        st = os.stat(f)
-        files.append([os.path.basename(f), st.st_size, st.st_mtime_ns])
-    payload = json.dumps(
-        {"fp": fp, "sem": cfg._semantic_fp, "files": files},
-        sort_keys=True,
-    )
+    files = [[os.path.basename(f), size, mtime]
+             for f, size, mtime in input_files(cfg.pages_dir)]
+    payload = {"fp": fp, "sem": cfg._semantic_fp, "files": files}
     try:
         cur = json.loads(current) if current else None
     except ValueError:
@@ -262,32 +269,17 @@ def _check_layout(out_dir: str, cfg: "KGConfig") -> None:
         # (new files sorting after the old, old count a multiple of
         # chunk_files) keeps every finished chunk and processes just the
         # new ones. Phase B always rebuilds from the per-chunk records.
-        old_chunks = [
-            cur["files"][i : i + cfg.chunk_files]
-            for i in range(0, len(cur["files"]), cfg.chunk_files)
-        ]
-        new_chunks = [
-            files[i : i + cfg.chunk_files]
-            for i in range(0, len(files), cfg.chunk_files)
-        ]
-        for cid in range(max(len(old_chunks), len(new_chunks))):
-            same = (
-                cid < len(old_chunks)
-                and cid < len(new_chunks)
-                and old_chunks[cid] == new_chunks[cid]
-            )
-            if not same:
+        k, old = cfg.chunk_files, cur["files"]
+        for cid in range(-(-max(len(old), len(files)) // k)):
+            if old[cid * k:(cid + 1) * k] != files[cid * k:(cid + 1) * k]:
                 mp = mf.manifest_path(out_dir, cid)
                 if os.path.exists(mp):
                     os.remove(mp)
                 shutil.rmtree(_records_dir(out_dir, cid), ignore_errors=True)
         # phase-B outputs derive from the full chunk set: force a rebuild
-        for name in ("_COMPLETE",):
-            p = os.path.join(out_dir, name)
-            if os.path.exists(p):
-                os.remove(p)
-        with open(marker, "w") as f:
-            f.write(payload)
+        if os.path.exists(os.path.join(out_dir, "_COMPLETE")):
+            os.remove(os.path.join(out_dir, "_COMPLETE"))
+        mf.write_json_atomic(marker, payload)
         return
 
     entries = os.listdir(out_dir)
@@ -307,8 +299,7 @@ def _check_layout(out_dir: str, cfg: "KGConfig") -> None:
             shutil.rmtree(p, ignore_errors=True)
         else:
             os.remove(p)
-    with open(marker, "w") as f:
-        f.write(payload)
+    mf.write_json_atomic(marker, payload)
 
 
 BATCH_ROWS = 256  # pages per extraction batch
@@ -523,21 +514,6 @@ def _driver_counts(mcount_files: list[str]) -> pa.Table:
 SAMPLE_ISSUES = 100  # issue rows kept for validation-results.json
 
 
-def _write_checked(t: pa.Table, path: str, issues_fn,
-                   issues_path: str) -> dict:
-    """Write ``t`` (empty: nothing) to ``path`` and its ``issues_fn`` rows
-    to ``issues_path`` (no file when there are none); return the row count
-    and the (severity, rule) counts."""
-    if not t.num_rows:
-        return {"rows": 0, "counts": []}
-    pq.write_table(t, path, compression="zstd")
-    issues = issues_fn(t)
-    if issues.num_rows:
-        pq.write_table(issues, issues_path, compression="zstd")
-    return {"rows": t.num_rows,
-            "counts": issue_count_batch(issues).to_pylist()}
-
-
 def _tally(counts: Counter, rows: list[dict]) -> None:
     """Add issue_count_batch rows into a (severity, rule) Counter."""
     for r in rows:
@@ -552,26 +528,6 @@ TRIPLE_COLUMNS = ["url", "warc_ts", "subj", "subj_norm", "pred", "obj",
                   "obj_norm", "confidence", "context"]
 
 
-def subject_cuts(n_nodes: int, n_parts: int) -> list[int]:
-    """First subject id of partitions 1..n_parts-1: ``[0, n_nodes)`` cut
-    into equal-width ranges (ids are the dense rank of canonical names,
-    so width is the only thing the driver needs). The ``-1`` unknown id
-    sorts before every cut, into partition 0."""
-    return [p * n_nodes // n_parts for p in range(1, n_parts)]
-
-
-def partition_edges(t: pa.Table, cuts: list[int]) -> list[pa.Table]:
-    """``t`` sorted by EDGE_ORDER and sliced at the subject-id ``cuts``:
-    ``len(cuts) + 1`` sorted slices, partition ``p`` holding the subjects
-    in ``[cuts[p-1], cuts[p])`` (empty slices where no subject falls)."""
-    import numpy as np
-
-    t = t.sort_by(EDGE_ORDER)
-    at = np.searchsorted(t["subj_id"].to_numpy(), cuts, side="left")
-    bounds = [0, *at.tolist(), t.num_rows]
-    return [t.slice(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
-
-
 def merge_edge_slices(slices: list[pa.Table], dedup: bool) -> pa.Table:
     """One partition from its sorted slices (one per map task, in task
     order): concatenated, exactly deduplicated when ``dedup`` (every row
@@ -584,65 +540,55 @@ def merge_edge_slices(slices: list[pa.Table], dedup: bool) -> pa.Table:
     return t.sort_by(EDGE_ORDER) if dedup or len(slices) > 1 else t
 
 
-@ray.remote
-def _map_edges(files, cuts, validate_fn, apply_fn, id_map):
-    """Map task: one file group of triple records, ids applied here from
-    ``id_map`` (which Ray resolves from the driver's broadcast ref),
-    validated and cut into sorted range slices. Files are read with
-    ``ParquetFile``: ``pq.read_table`` would load pyarrow's dataset and
-    Acero modules (~40 MB RSS) into the worker."""
-    edges = apply_fn(pa.concat_tables(
+def _edge_map(files, validate_fn, apply_fn, id_map) -> pa.Table:
+    """Map of the edge exchange: one file group of triple records, ids
+    applied from ``id_map`` (resolved by Ray from the driver's broadcast
+    ref) and validated. Files are read with ``ParquetFile``:
+    ``pq.read_table`` would load pyarrow's dataset and Acero modules
+    (~40 MB RSS) into the worker."""
+    return validate_fn(apply_fn(pa.concat_tables(
         [pq.ParquetFile(f).read(columns=TRIPLE_COLUMNS) for f in files],
-        promote_options="default"), id_map=id_map)
-    parts = partition_edges(validate_fn(edges), cuts)
-    return parts[0] if len(parts) == 1 else tuple(parts)
+        promote_options="default"), id_map=id_map))
 
 
-@ray.remote
-def _reduce_edges(dedup: bool, path: str, issues_fn, issues_path: str,
-                  *slices) -> dict:
-    """Reduce task: one range from its slices, written with its issues."""
-    return _write_checked(merge_edge_slices(list(slices), dedup), path,
-                          issues_fn, issues_path)
+def _edge_reduce(slices, path, dedup, issues_fn, issues_path) -> dict:
+    """Reduce of the edge exchange: one range from its slices, written to
+    ``path`` and its ``issues_fn`` rows to ``issues_path`` (no file for
+    no rows); returns the row count and the (severity, rule) counts."""
+    t = merge_edge_slices(slices, dedup)
+    if not write_part(t, path):
+        return {"rows": 0, "counts": []}
+    issues = issues_fn(t)
+    write_part(issues, issues_path)
+    return {"rows": t.num_rows,
+            "counts": issue_count_batch(issues).to_pylist()}
 
 
 def _finalize_edges(groups: list, n_nodes: int, edges_dir: str,
                     issues_tmp: str, cfg: KGConfig,
                     id_ref) -> tuple[int, Counter]:
-    """Edge materialization, with no Ray shuffle. One map task per
-    triple-record file group applies the ids from the broadcast
-    ``id_ref``, validates the edges and cuts them into ``n_parts`` =
-    len(groups) sorted subject-id ranges. One reduce task per range merges
-    only its own slices (with the exact dedup, D4 db_init.py:128, when
-    cfg.global_edge_dedup: re-crawled urls), writes them as
-    ``<p:06d>.parquet`` (file order = edge order) and their
-    edge_issues_batch rows into ``issues_tmp`` (``_write_checked``; a Ray
-    Data write measured 0.03 s slower per job). Returns the edge count
-    and the summed (severity, rule) counts. A hot subject's edges all
-    land in one range (SCALE.md)."""
+    """Edge materialization: one ``runtime.range_exchange`` keyed on
+    ``subj_id``, cut into len(groups) equal-width ranges of the dense ids
+    (the ``-1`` unknown id falls in range 0). Map tasks apply the ids from
+    the broadcast ``id_ref`` and validate; reduce task p merges its own
+    slices (with the exact dedup, D4 db_init.py:128, when
+    cfg.global_edge_dedup: re-crawled urls) into ``part-<p>.parquet``
+    (file order = edge order) and its issue rows into ``issues_tmp``.
+    Returns the edge count and the summed (severity, rule) counts. A hot
+    subject's edges all land in one range (SCALE.md)."""
     n_parts = len(groups)
-    cuts = subject_cuts(n_nodes, n_parts)
-    # the kernels are read from this module's attributes here, on the
-    # driver, so a wrapper installed there (the benchmark's span) is the
-    # one the tasks run
-    mapped = [
-        _map_edges.options(num_returns=n_parts).remote(
-            files, cuts, validate_edges_batch, apply_ids_batch, id_ref)
-        for files in groups
-    ]
-    if n_parts == 1:
-        mapped = [[m] for m in mapped]
     tmp = edges_dir + ".tmp"
     mf.clear_stale_tmp(tmp)
     os.makedirs(tmp)
-    written = ray.get([
-        _reduce_edges.remote(
-            cfg.global_edge_dedup, os.path.join(tmp, f"{p:06d}.parquet"),
-            edge_issues_batch,
-            os.path.join(issues_tmp, f"edge-{p:06d}.parquet"),
-            *(m[p] for m in mapped))
-        for p in range(n_parts)
-    ])
+    # the kernels are read from this module's attributes here, on the
+    # driver, so a wrapper installed there (the benchmark's span) is the
+    # one the tasks run
+    written = range_exchange(
+        groups, _edge_map, (validate_edges_batch, apply_ids_batch, id_ref),
+        EDGE_ORDER, equal_cuts(n_nodes, n_parts), _edge_reduce,
+        [(cfg.global_edge_dedup, edge_issues_batch,
+          os.path.join(issues_tmp, f"edge-{p:06d}.parquet"))
+         for p in range(n_parts)], tmp)
     counts: Counter = Counter()
     for w in written:
         _tally(counts, w["counts"])
@@ -717,11 +663,8 @@ def _report(out: str, by_rule_sev: Counter, sample: list, n_nodes: int,
     """Write validation-results.json (summary + issue sample) and return
     phase B's metrics."""
     summary = summarize_issues(by_rule_sev, n_nodes, n_edges)
-    report_path = os.path.join(out, "validation-results.json")
-    with open(report_path + ".tmp", "w") as f:
-        json.dump({"summary": summary, "issues_sample": sample}, f,
-                  sort_keys=True, default=str)
-    os.replace(report_path + ".tmp", report_path)
+    mf.write_json_atomic(os.path.join(out, "validation-results.json"),
+                         {"summary": summary, "issues_sample": sample})
     return {
         "n_nodes": n_nodes,
         "n_edges": n_edges,
@@ -861,8 +804,6 @@ def merge_runs(
         "n_nodes": res["n_nodes"],
         "n_edges": res["n_edges"],
     }
-    mpath = os.path.join(out_dir, "merge-manifest.json")
-    with open(mpath + ".tmp", "w") as f:
-        json.dump(manifest, f, sort_keys=True)
-    os.replace(mpath + ".tmp", mpath)
+    mf.write_json_atomic(os.path.join(out_dir, "merge-manifest.json"),
+                         manifest)
     return {**res, "out_dir": out_dir}

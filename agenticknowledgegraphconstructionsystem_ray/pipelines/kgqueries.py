@@ -14,10 +14,11 @@ from __future__ import annotations
 import os
 import re
 
+import ray
 import ray.data as rd
 
 from .. import synth
-from ..runtime import file_groups
+from ..runtime import file_groups, write_part
 from ..state.artifacts import (
     cache_root,
     ensure_artifact,
@@ -798,11 +799,11 @@ def _kg_search_impl(sf_dir: str, qterms: list, K: int):
 # just the query capability: ONE tokenize pass over the extracted text
 # writes postings rows (term, url, tf, dl, pos), one per distinct
 # (term, doc), plus one sentinel row per doc (term "") carrying its dl.
-# v5: no shuffle. The build writes one segment file per group of page
-# files, each sorted by (term, url) in its own task, so the sentinel rows
+# v5: no shuffle and no Ray Data. One plain task per group of page files
+# writes one segment file, sorted by (term, url), so the sentinel rows
 # open every segment and a term's postings are contiguous row groups
 # (FTS_ROW_GROUP rows each). The corpus stats (N docs, T tokens) are
-# summed from the sentinel rows once, at build time, into stats.json. A
+# summed from the sentinel rows by the build tasks into stats.json. A
 # query pushes an OR of term equalities into the parquet scanner, and
 # the row-group min/max statistics of the sorted segments prune the read
 # to ~the probed terms' posting lists, never touching the corpus text:
@@ -814,10 +815,10 @@ def _kg_search_impl(sf_dir: str, qterms: list, K: int):
 # persisted artifact.
 # ---------------------------------------------------------------------------
 
-# Hash buckets of the link table (weblinks): the cold build's shuffle
-# sums one bucket per Arrow group_by, and one bucket never spans two
-# reduce tasks or two files, so this caps both the build's parallelism
-# and the merge's (one task per file) — raise it with the host-pair
+# Hash buckets of the link table (weblinks): its range exchange cuts
+# between buckets, so one bucket never spans two reduce tasks or two
+# files, and this caps both the cold build's reduce parallelism and the
+# merge's (one reduce task per base file) — raise it with the host-pair
 # count.
 LINK_BUCKETS = 64
 FTS_VERSION = 5
@@ -851,12 +852,13 @@ def build_fts_postings(run_dirs, root: str) -> str:
     a re-crawled url present in both layouts would double-count in the
     corpus stats; re-crawls must rebuild the base index (the same
     disjointness assumption kg.merge_runs makes without
-    global_edge_dedup)."""
+    global_edge_dedup). One plain task per group of page-record files
+    writes ``postings/part-<g>.parquet``; their (docs, tokens) sum into
+    stats.json."""
     import json
 
     import pyarrow as pa
     import pyarrow.compute as pc
-    import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
     from .scoring import _TOKEN_RE
@@ -907,30 +909,30 @@ def build_fts_postings(run_dirs, root: str) -> str:
             }
         )
 
-    def segment(task: pa.Table) -> pa.Table:
+    @ray.remote
+    def segment(files: list, path: str) -> tuple:
         # tokenized 1024 pages at a time, so the Python lists stay small
-        # however large the segment; one sort over the segment's postings
-        return pa.concat_tables(
+        # however large the segment; one sort over the segment's postings.
+        # Returns the segment's (docs, tokens) from its sentinel rows.
+        t = pa.concat_tables(
             fts_rows(b)
-            for f in task["files"][0].as_py()
+            for f in files
             for b in pq.ParquetFile(f).iter_batches(
                 batch_size=1024, columns=["url", "text"])
         ).sort_by([("term", "ascending"), ("url", "ascending")])
+        write_part(t, path, row_group_size=FTS_ROW_GROUP)
+        dl = t.filter(pc.equal(t["term"], ""))["dl"]
+        return len(dl), pc.sum(dl).as_py() or 0
 
     def build(tmp: str) -> None:
-        tasks = [{"files": g} for g in file_groups(pages)]
         postings = os.path.join(tmp, "postings")
-        rd.from_items(tasks, override_num_blocks=len(tasks)).map_batches(
-            segment, batch_size=1, batch_format="pyarrow",
-        ).write_parquet(postings, compression="zstd",
-                        row_group_size=FTS_ROW_GROUP)
-        # the sentinel rows sort first in every segment, so this read
-        # prunes to each segment's leading row groups
-        dl = pads.dataset(postings, format="parquet").to_table(
-            columns=["dl"], filter=pads.field("term") == "")["dl"]
+        os.makedirs(postings)
+        stats = ray.get([
+            segment.remote(g, os.path.join(postings, f"part-{i:05d}.parquet"))
+            for i, g in enumerate(file_groups(pages))])
         with open(os.path.join(tmp, "stats.json"), "w") as f:
-            json.dump({"n_docs": len(dl),
-                       "n_tokens": pc.sum(dl).as_py() or 0}, f)
+            json.dump({"n_docs": sum(n for n, _ in stats),
+                       "n_tokens": sum(t for _, t in stats)}, f)
 
     return ensure_artifact(root, contract, build)
 

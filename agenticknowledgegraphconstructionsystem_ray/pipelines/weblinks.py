@@ -49,7 +49,13 @@ from ray.data.aggregate import Count, Sum
 
 from .. import synth
 from ..functions.weblinks import host_id, host_of, resolve_outlinks
-from ..runtime import cluster_cpus
+from ..runtime import (
+    cluster_cpus,
+    equal_cuts,
+    file_groups,
+    range_exchange,
+    write_part,
+)
 from ..state.artifacts import (
     cache_root,
     ensure_artifact,
@@ -102,17 +108,18 @@ def wg_outlinks(sf_dir: str):
 #
 # Each row also stores its pair's stable hash bucket, ``bkt`` (host_id of
 # the NUL-joined pair mod kgqueries.LINK_BUCKETS — never Python's salted
-# hash()). The cold build (sum_link_pairs) shuffles by bucket and sums
-# each bucket with one vectorized Arrow group_by, so no per-pair Python
-# step runs (a Ray groupby-aggregate pays one per host pair). Its range
-# shuffle writes each contiguous range of buckets to ONE file, sorted by
-# (bkt, src_host, dst_host); the ranges are disjoint and readable from the
-# footer statistics of ``bkt``. That layout is what lets a merge
-# (merge_link_tables, wg_host_graph_incremental) skip the all-to-all: the
-# small delta is broadcast and each base file is merged with its slice of
-# the delta by one task, into one file with the same bucket range — so a
-# chain of merges never shuffles either. Readers project ``bkt`` away
-# (_links_dataset); consumers that need an order sort.
+# hash()). Every build is one runtime.range_exchange keyed on ``bkt``
+# (_write_links): map tasks emit bucket-tagged pair partials, and reduce
+# task p sums bucket range p with one vectorized Arrow group_by (a Ray
+# groupby-aggregate pays a Python step per host pair) into ONE file,
+# sorted by (bkt, src_host, dst_host); the ranges are disjoint and
+# readable from the footer statistics of ``bkt``. The cold build cuts
+# [0, LINK_BUCKETS) into equal widths. A merge (merge_link_tables,
+# wg_host_graph_incremental) maps ONLY the delta pages, cuts at the base
+# files' ranges and has reduce p read base file p, so the base table is
+# never moved between tasks and a chain of merges keeps the ranges.
+# Readers project ``bkt`` away (_links_dataset); consumers that need an
+# order sort.
 # ---------------------------------------------------------------------------
 
 _SENTINEL = "\x00"  # not a possible netloc; tags page-host node rows
@@ -155,33 +162,51 @@ def _sum_pairs(t: pa.Table) -> pa.Table:
     row per pair, sorted by (bkt, src_host, dst_host)."""
     g = t.group_by(["bkt", "src_host", "dst_host"]).aggregate(
         [("n_links", "sum")])
-    return pa.table(
-        {
-            "src_host": g["src_host"],
-            "dst_host": g["dst_host"],
-            "n_links": g["n_links_sum"],
-            "bkt": g["bkt"],
-        }
-    ).sort_by([("bkt", "ascending"), ("src_host", "ascending"),
-               ("dst_host", "ascending")])
+    return g.select(["src_host", "dst_host", "n_links_sum", "bkt"]
+                    ).rename_columns([*LINK_COLUMNS, "bkt"]).sort_by(
+        [("bkt", "ascending"), ("src_host", "ascending"),
+         ("dst_host", "ascending")])
 
 
-def sum_link_pairs(rows: rd.Dataset) -> rd.Dataset:
-    """The cold build's sum: (src_host, dst_host, n_links) rows summed to
-    one row per host pair — bucket tag -> bucket range shuffle ->
-    per-bucket Arrow group_by sum, so each output file holds one
-    contiguous bucket range (the ranges _bucket_ranges reads back)."""
-    return (
-        rows.map_batches(_link_bucket, batch_format="pyarrow")
-        .groupby("bkt")
-        .map_groups(_sum_pairs, batch_format="pyarrow")
-    )
+def _pair_rows(files: list) -> pa.Table:
+    """Map of the link exchange: the bucket-tagged pair partials of a
+    group of pages files, one combiner per 1024-page batch (the leading
+    empty table types the result of a group with no pages)."""
+    return _link_bucket(pa.concat_tables(
+        [_sentinel_pair_partials(pa.table({"url": [], "html": []}))]
+        + [_sentinel_pair_partials(b) for f in files
+           for b in pq.ParquetFile(f).iter_batches(
+               batch_size=1024, columns=["url", "html"])]))
 
 
-def _page_pairs(pages_files: list) -> rd.Dataset:
-    """Pair partials (sentinels included) over a pages file list."""
-    return rd.read_parquet(pages_files, columns=["url", "html"]).map_batches(
-        _sentinel_pair_partials, batch_format="pyarrow")
+def _sum_range(slices: list, path: str, base_file: str | None = None) -> int:
+    """Reduce of the link exchange: one bucket range's slices, plus base
+    file ``base_file`` (which holds the same range) in a merge, summed
+    to one row per pair and written to ``path``; its row count."""
+    if base_file is not None:
+        slices = [pq.ParquetFile(base_file).read(), *slices]
+    return write_part(_sum_pairs(pa.concat_tables(slices)), path)
+
+
+def _write_links(pages_files: list, out_dir: str,
+                 base_links: str | None = None) -> None:
+    """The link table of ``pages_files``, merged into the one at
+    ``base_links`` when given, written to ``out_dir`` by one
+    runtime.range_exchange keyed on ``bkt``: cold, one equal-width bucket
+    range per file group (at most LINK_BUCKETS); merging, the base files'
+    ranges, reduce p reading base file p. Either way the files hold rows
+    sorted by (bkt, src_host, dst_host), in file order."""
+    groups = file_groups(pages_files)
+    if base_links is None:
+        n_parts = min(len(groups), LINK_BUCKETS)
+        cuts, bases = equal_cuts(LINK_BUCKETS, n_parts), [()] * n_parts
+    else:
+        ranges = _bucket_ranges(base_links)
+        cuts = [lo for _, lo, _ in ranges[1:]]
+        bases = [(f,) for f, _, _ in ranges]
+    os.makedirs(out_dir)
+    range_exchange(groups, _pair_rows, (), [("bkt", "ascending")], cuts,
+                   _sum_range, bases, out_dir)
 
 
 def _bucket_ranges(links_dir: str) -> list[tuple[str, int, int]]:
@@ -212,42 +237,6 @@ def _bucket_ranges(links_dir: str) -> list[tuple[str, int, int]]:
             for (_, _, f), lo, hi in zip(spans, los, los[1:] + [LINK_BUCKETS])]
 
 
-def _merged_links(base_links: str, delta_pairs: rd.Dataset) -> rd.Dataset:
-    """Base link table (a directory of v4 files) + delta pair rows, summed
-    to one row per pair with no all-to-all. Two executions:
-
-    1. the delta's rows get their bucket and each block is sorted by it,
-       materialized — O(delta host pairs);
-    2. one task per base file: it reads the file, binary-searches its
-       bucket range out of every (broadcast) delta block, and sums the
-       union with one Arrow group_by — one output block, which keeps the
-       base file's bucket range.
-
-    Rows come out as the cold build writes them, so the output, in base
-    file order, is row-identical to a cold build over base ∪ delta."""
-    ranges = _bucket_ranges(base_links)
-    delta_refs = (
-        delta_pairs.map_batches(lambda t: _link_bucket(t).sort_by("bkt"),
-                                batch_format="pyarrow")
-        .materialize()
-        .to_arrow_refs()
-    )
-
-    def merge_file(task: pa.Table, refs=delta_refs) -> pa.Table:
-        f, lo, hi = (task[c][0].as_py() for c in ("file", "lo", "hi"))
-        parts = [pq.read_table(f)]
-        for block in ray.get(refs):
-            if not block.num_rows:
-                continue  # map stages pass empty input blocks through
-            i, j = np.searchsorted(block["bkt"].to_numpy(), [lo, hi])
-            parts.append(block.slice(i, j - i))
-        return _sum_pairs(pa.concat_tables(parts))
-
-    tasks = [{"file": f, "lo": lo, "hi": hi} for f, lo, hi in ranges]
-    return rd.from_items(tasks, override_num_blocks=len(tasks)).map_batches(
-        merge_file, batch_size=1, batch_format="pyarrow")
-
-
 def links_root(sf_dir: str) -> str:
     """Cache root of the materialized link table — the one place the path
     scheme lives (bench and tests clear caches through this)."""
@@ -271,8 +260,7 @@ def _ensure_link_tables_for(pages_files: list, root: str) -> str:
     of serving stale links."""
 
     def build(tmp: str) -> None:
-        sum_link_pairs(_page_pairs(pages_files)).write_parquet(
-            os.path.join(tmp, "links"), compression="zstd")
+        _write_links(pages_files, os.path.join(tmp, "links"))
 
     return ensure_artifact(
         root,
@@ -285,8 +273,8 @@ def merge_link_tables(base_root: str, delta_pages_files: list,
                       dest: str) -> str:
     """cli update's link-table refresh: the base table (read back, not
     re-scanned) merged with pair partials over ONLY the delta pages by
-    _merged_links — one task per base file, no shuffle — and written as
-    the merged link table, one file per base file with the same bucket
+    _write_links — one reduce task per base file, no shuffle — and written
+    as the merged link table, one file per base file with the same bucket
     range (so the next update in a chain merges the same way). Sentinel
     page-host rows ride along, so the output is row-identical, in file
     order, to a full _ensure_link_tables build over base∪delta pages.
@@ -299,9 +287,8 @@ def merge_link_tables(base_root: str, delta_pages_files: list,
             f"base link table {base_root} has no valid _DONE marker")
 
     def build(tmp: str) -> None:
-        _merged_links(
-            os.path.join(base_root, "links"), _page_pairs(delta_pages_files),
-        ).write_parquet(os.path.join(tmp, "links"), compression="zstd")
+        _write_links(delta_pages_files, os.path.join(tmp, "links"),
+                     os.path.join(base_root, "links"))
 
     return ensure_artifact(
         dest,
@@ -348,22 +335,21 @@ def wg_host_graph(sf_dir: str):
 def wg_host_graph_incremental(sf_dir: str):
     """cli update's link-table face: the base half's PERSISTED table
     (never re-scanned) merged with pair partials over ONLY the delta
-    half's pages by _merged_links, the kernel of merge_link_tables — update
-    cost scales with the delta scan + one pass over the base table, and
-    the result must equal wg_host_graph's full-corpus output (same SQL
-    oracle)."""
+    half's pages by merge_link_tables (cached like cli update's merged
+    table) — update cost scales with the delta scan + one pass over the
+    base table, and the result must equal wg_host_graph's full-corpus
+    output (same SQL oracle)."""
     pages_dir = synth.ensure_pages(sf_of(sf_dir))
     files = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
     mid = len(files) // 2
     base_root = _ensure_link_tables_for(
         files[:mid], links_root(sf_dir) + "_half_a"
     )
-
+    merged = merge_link_tables(base_root, files[mid:],
+                               links_root(sf_dir) + "_half_merged")
     return (
-        _merged_links(os.path.join(base_root, "links"),
-                      _page_pairs(files[mid:]))
+        rd.read_parquet(os.path.join(merged, "links"), columns=LINK_COLUMNS)
         .filter(expr=f"dst_host != {_SENTINEL!r}")
-        .select_columns(LINK_COLUMNS)
         .sort(["src_host", "dst_host"])
     )
 

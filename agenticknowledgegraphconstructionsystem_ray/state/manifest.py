@@ -32,13 +32,18 @@ def manifest_path(out_dir: str, chunk_id: int) -> str:
     return os.path.join(manifest_dir(out_dir), f"chunk-{chunk_id:05d}.json")
 
 
-def write_manifest(out_dir: str, chunk_id: int, payload: dict) -> None:
-    os.makedirs(manifest_dir(out_dir), exist_ok=True)
-    path = manifest_path(out_dir, chunk_id)
+def write_json_atomic(path: str, obj) -> None:
+    """Write ``obj`` as JSON (sorted keys; ``str`` for other values) to
+    ``path`` whole or not at all: a tmp file, then ``os.replace``."""
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
-        json.dump(payload, f, sort_keys=True)
+        json.dump(obj, f, sort_keys=True, default=str)
     os.replace(tmp, path)  # atomic commit
+
+
+def write_manifest(out_dir: str, chunk_id: int, payload: dict) -> None:
+    os.makedirs(manifest_dir(out_dir), exist_ok=True)
+    write_json_atomic(manifest_path(out_dir, chunk_id), payload)
 
 
 def read_manifest(out_dir: str, chunk_id: int) -> dict | None:

@@ -318,3 +318,33 @@ def test_chain_with_a_stale_base_root_still_answers_queries(update_env,
     want = kgqueries._search_indexed_over(full_root, e["full_out"], q, K)
     assert got.num_rows and got.equals(want)
     shutil.rmtree(full_root, ignore_errors=True)
+
+
+def test_update_job_creates_no_dataset(update_env, tmp_path, monkeypatch):
+    """A whole `cli update` runs no Ray Data: the delta extract, merge_runs,
+    the FTS builds (base and delta) and the link tables (the cold base
+    build, then the merge) are plain tasks."""
+    import ray.data as rd
+
+    from agenticknowledgegraphconstructionsystem_ray.cli import main as cli_main
+
+    e = update_env
+    made = []
+    orig = rd.Dataset.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "__init__", spy)
+    out = str(tmp_path / "update")
+    assert cli_main([
+        "update", "--base-pages", e["base_pages"], "--base-out",
+        e["base_out"], "--delta-pages", e["delta_pages"], "--out", out,
+        "--chunk-files", "2",
+    ]) == 0
+    for name in ("links_base", "links", "fts_base", "fts_delta"):
+        assert os.path.exists(os.path.join(out, name, "_DONE")), name
+    assert made == []
+    rd.from_items([{"x": 1}])  # control: the spy sees a Dataset being made
+    assert made

@@ -83,6 +83,36 @@ def test_check_layout_refuses_foreign_dir(tmp_path, small_pages):
     assert (out / "precious.txt").read_text() == "do not delete"
 
 
+def test_input_listing_keeps_layout_and_fingerprint_bytes(tmp_path,
+                                                          small_pages):
+    """The _LAYOUT payload and the _COMPLETE fingerprint, both derived from
+    kg.input_files, are byte-identical to those of the per-caller
+    glob-and-stat loops they replaced, so an out dir written before
+    resumes with no rebuild."""
+    import hashlib
+    import json
+
+    cfg = kg.KGConfig(pages_dir=small_pages, out_dir=str(tmp_path / "out"))
+    paths = sorted(glob.glob(os.path.join(small_pages, "*.parquet")))
+    ident = []
+    for f in paths:
+        st = os.stat(f)
+        ident.append((os.path.basename(f), st.st_size, st.st_mtime_ns))
+    want_fp = hashlib.sha1(
+        repr((cfg._semantic_fp, tuple(ident))).encode()).hexdigest()
+    want_layout = json.dumps(
+        {"fp": want_fp, "sem": cfg._semantic_fp,
+         "files": [list(i) for i in ident]},
+        sort_keys=True,
+    )
+    assert kg._config_fingerprint(cfg) == want_fp
+    assert [f for f, _, _ in kg.input_files(small_pages)] == paths
+    assert kg.plan_chunks(small_pages, 3) == [paths[:3], paths[3:]]
+    kg._check_layout(cfg.out_dir, cfg)
+    with open(os.path.join(cfg.out_dir, "_LAYOUT")) as f:
+        assert f.read() == want_layout
+
+
 def test_global_dedup_keeps_distinct_unknown_entities(tmp_path, ray_session):
     """Two triples on one url whose subjects are DISTINCT unknown surfaces
     (both id -1) must both survive global_edge_dedup — the dedup key
@@ -91,6 +121,10 @@ def test_global_dedup_keeps_distinct_unknown_entities(tmp_path, ray_session):
     import pyarrow as pa
 
     from agenticknowledgegraphconstructionsystem_ray.pipelines import kg
+    from agenticknowledgegraphconstructionsystem_ray.runtime import (
+        equal_cuts,
+        range_slices,
+    )
     from agenticknowledgegraphconstructionsystem_ray.stages.canonicalize import (
         dedup_edges_batch,
     )
@@ -110,6 +144,7 @@ def test_global_dedup_keeps_distinct_unknown_entities(tmp_path, ray_session):
     )
     out = dedup_edges_batch(edges)
     assert out.num_rows == 2
-    cuts = kg.subject_cuts(8, 3)
-    slices = [kg.partition_edges(edges.slice(i, 1), cuts)[0] for i in (0, 1)]
+    cuts = equal_cuts(8, 3)
+    slices = [range_slices(edges.slice(i, 1), kg.EDGE_ORDER, cuts)[0]
+              for i in (0, 1)]
     assert kg.merge_edge_slices(slices, dedup=True).num_rows == 2

@@ -1,6 +1,6 @@
 """Edge materialization without a Ray shuffle: the driver cuts subject-id
 ranges, map tasks sort and slice, reduce tasks merge their own slices
-(pipelines/kg._finalize_edges)."""
+(pipelines/kg._finalize_edges on runtime.range_exchange)."""
 
 import glob
 import os
@@ -13,6 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agenticknowledgegraphconstructionsystem_ray.pipelines import kg
+from agenticknowledgegraphconstructionsystem_ray.runtime import (
+    equal_cuts,
+    range_slices,
+)
 
 
 def _edges(rows) -> pa.Table:
@@ -49,10 +53,10 @@ def test_partitioned_sort_equals_one_sort(case):
     lies in its range (-1 in range 0)."""
     n_nodes, n_parts, rows, n_maps = case
     t = _edges(rows)
-    cuts = kg.subject_cuts(n_nodes, n_parts)
+    cuts = equal_cuts(n_nodes, n_parts)
     assert len(cuts) == n_parts - 1 and cuts == sorted(cuts)
     at = [len(rows) * i // n_maps for i in range(n_maps + 1)]
-    mapped = [kg.partition_edges(t.slice(a, b - a), cuts)
+    mapped = [range_slices(t.slice(a, b - a), kg.EDGE_ORDER, cuts)
               for a, b in zip(at, at[1:])]
     assert all(len(m) == n_parts for m in mapped)
     parts = [kg.merge_edge_slices([m[p] for m in mapped], dedup=False)
@@ -80,9 +84,9 @@ def test_merge_dedups_within_a_range():
         "context": ["c1", "c2", "c3", "c4"],
         "validated": [True, True, False, True],
     })
-    cuts = kg.subject_cuts(10, 2)
-    a, b = kg.partition_edges(t.slice(0, 3), cuts), kg.partition_edges(
-        t.slice(3), cuts)
+    cuts = equal_cuts(10, 2)
+    a, b = (range_slices(t.slice(0, 3), kg.EDGE_ORDER, cuts),
+            range_slices(t.slice(3), kg.EDGE_ORDER, cuts))
     merged = kg.merge_edge_slices([a[0], b[0]], dedup=True)
     assert merged.column_names == t.column_names
     assert merged.to_pydict()["subj"] == ["bar ltd", "foo corp", "Acme"]

@@ -1,6 +1,7 @@
 """The full-text index layout: one (term, url)-sorted segment per build
 task, corpus stats written at build time, and term filters that prune by
-row-group statistics — built with no Dataset shuffle."""
+row-group statistics. The build runs no Ray Data
+(tests/test_cli_update.py::test_update_job_creates_no_dataset)."""
 
 from __future__ import annotations
 
@@ -98,27 +99,6 @@ def test_segments_match_plain_python_reference(ray_session, tmp_path, files):
     want_tokens = sum(len(_TOKEN_RE.findall(t.lower())) for _, t in docs)
     assert stats == {"n_docs": len(docs), "n_tokens": want_tokens}
     shutil.rmtree(work)
-
-
-def test_build_runs_no_all_to_all(ray_session, tmp_path, monkeypatch):
-    """build_fts_postings never calls a Dataset shuffle; the same spy sees
-    the query's coalesce and url groupby, so it would see one in the
-    build."""
-    calls = []
-    for name in ("sort", "groupby", "union", "repartition",
-                 "random_shuffle"):
-        def spy(self, *a, _name=name, _orig=getattr(rd.Dataset, name), **k):
-            calls.append(_name)
-            return _orig(self, *a, **k)
-
-        monkeypatch.setattr(rd.Dataset, name, spy)
-    docs = [[(f"https://h.example/{i}/{j}", f"cat sat {i} mat {j}")
-             for j in range(5)] for i in range(3)]
-    run = _fake_run(str(tmp_path / "run"), docs)
-    root = kgqueries.build_fts_postings(run, str(tmp_path / "fts"))
-    assert calls == []
-    kgqueries._read_postings(root, ["cat", "mat"], ["term", "url"])
-    assert "repartition" in calls
 
 
 def test_term_filter_prunes_row_groups(ray_session, tmp_path, monkeypatch):

@@ -1,10 +1,11 @@
-"""The link table's two sums against a plain-dict reference: the cold
-build's bucket shuffle (weblinks.sum_link_pairs) and the shuffle-free
-merge behind merge_link_tables and wg_host_graph_incremental
-(weblinks._merged_links). Also the stability of the hash buckets, the
-bucket-range layout the merge reads from the Parquet footers, and the
-link-table contract version."""
+"""The link table's two builds against a plain-dict reference: the cold
+build (weblinks._ensure_link_tables_for) and the merge behind
+merge_link_tables and wg_host_graph_incremental, both one range exchange
+keyed on the hash bucket (weblinks._write_links). Also the stability of
+the hash buckets, the bucket-range layout the merge reads from the
+Parquet footers, and the link-table contract version."""
 
+import contextlib
 import glob
 import itertools
 import json
@@ -12,11 +13,10 @@ import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
-import ray.data as rd
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -59,37 +59,46 @@ def _table(rows) -> pa.Table:
     )
 
 
+def _row_files(blocks: list, d: str) -> list:
+    """Each block of link rows written as one file, in block order."""
+    os.makedirs(d)
+    files = [os.path.join(d, f"{i:03d}.parquet") for i in range(len(blocks))]
+    for f, rows in zip(files, blocks):
+        pq.write_table(_table(rows), f)
+    return files
+
+
+@contextlib.contextmanager
+def _link_rows_as_pages():
+    """The link builds with their map kernel reading link-row files (from
+    _row_files) in place of pages: the real exchange and per-range sum
+    run on rows drawn by the test."""
+
+    def pair_rows(files):
+        return weblinks._link_bucket(pa.concat_tables(
+            [pq.ParquetFile(f).read() for f in files]))
+
+    with mock.patch.object(weblinks, "_pair_rows", pair_rows):
+        yield
+
+
 @given(base=blocks, delta=blocks, shared=st.lists(link_row, max_size=3))
 @settings(max_examples=25, deadline=None)
 def test_sum_link_pairs_matches_dict_reference(ray_session, base, delta,
                                                shared):
+    """The cold build's per-range sum: one row per pair (in the range of
+    its bucket, each file sorted, the link schema), summed as a dict
+    sums them."""
     # the shared rows put the same pairs on both sides of the union
     base[0] = base[0] + shared
     delta[0] = delta[0] + shared
-    want: dict = {}
-    for rows in base + delta:
-        for s, d, n in rows:
-            want[(s, d)] = want.get((s, d), 0) + n
-
-    ds = weblinks.sum_link_pairs(
-        rd.from_arrow([_table(b) for b in base + delta])).materialize()
-    got: dict = {}
-    for bundle in ds.iter_internal_ref_bundles():
-        for ref in bundle.block_refs:
-            block = ray.get(ref)
-            if not block.num_rows:
-                # Ray's range shuffle emits one schema-less empty block per
-                # empty partition and map stages pass those through
-                # untouched; every block the per-bucket sum produced is
-                # non-empty and has the link schema
-                continue
-            assert block.schema.equals(LINK_SCHEMA)
-            for s, d, n, b in zip(*(block[c].to_pylist()
-                                    for c in LINK_SCHEMA.names)):
-                assert (s, d) not in got, "pair summed in two places"
-                assert b == _bucket(s, d)
-                got[(s, d)] = n
-    assert got == want
+    with tempfile.TemporaryDirectory() as tmp, _link_rows_as_pages():
+        files = _row_files(base + delta, os.path.join(tmp, "rows"))
+        root = weblinks._ensure_link_tables_for(files,
+                                                os.path.join(tmp, "links"))
+        assert _read_sums(os.path.join(root, "links")) == _plus({},
+                                                                base + delta)
+        _spans(os.path.join(root, "links"))  # disjoint bucket ranges
 
 
 def test_link_bucket_independent_of_hash_seed():
@@ -149,7 +158,7 @@ def test_old_link_contract_is_rebuilt(ray_session, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The shuffle-free merge (weblinks._merged_links / merge_link_tables)
+# The merge (weblinks.merge_link_tables)
 # ---------------------------------------------------------------------------
 
 
@@ -190,11 +199,13 @@ def _read_sums(links_dir: str) -> dict:
     return sums
 
 
-def _merge(base_links: str, blocks: list, out: str) -> str:
-    weblinks._merged_links(
-        base_links, rd.from_arrow([_table(b) for b in blocks])
-    ).write_parquet(out)
-    return out
+def _merge(base_root: str, blocks: list, out: str) -> str:
+    """merge_link_tables of ``blocks`` into the table at ``base_root``;
+    the merged table's links dir."""
+    with _link_rows_as_pages():
+        root = weblinks.merge_link_tables(
+            base_root, _row_files(blocks, out + "_rows"), out)
+    return os.path.join(root, "links")
 
 
 def _plus(sums: dict, blocks: list) -> dict:
@@ -231,36 +242,12 @@ def test_merge_matches_dict_reference(small_base, data):
     spans = _spans(base_links)
     assert len(spans) >= 2
     with tempfile.TemporaryDirectory() as tmp:
-        m1 = _merge(base_links, d1, os.path.join(tmp, "m1"))
+        m1 = _merge(root, d1, os.path.join(tmp, "m1"))
         assert _read_sums(m1) == _plus(base, d1)
         assert _spans(m1) == spans
-        m2 = _merge(m1, d2, os.path.join(tmp, "m2"))
+        m2 = _merge(os.path.dirname(m1), d2, os.path.join(tmp, "m2"))
         assert _read_sums(m2) == _plus(base, d1 + d2)
         assert _spans(m2) == spans
-
-
-def test_merge_runs_no_all_to_all(small_base, tmp_path, monkeypatch):
-    """merge_link_tables never calls a Dataset shuffle; the same spy sees
-    the cold build's groupby, so it would see one in the merge."""
-    from agenticknowledgegraphconstructionsystem_ray import synth
-
-    calls = []
-    for name in ("sort", "groupby", "union", "repartition",
-                 "random_shuffle"):
-        def spy(self, *a, _name=name, _orig=getattr(rd.Dataset, name), **k):
-            calls.append(_name)
-            return _orig(self, *a, **k)
-
-        monkeypatch.setattr(rd.Dataset, name, spy)
-    root, base, _ = small_base
-    delta = synth.write_pages(str(tmp_path / "delta"), 4, n_files=1)
-    merged = weblinks.merge_link_tables(root, delta, str(tmp_path / "m"))
-    assert calls == []
-    cold = weblinks._ensure_link_tables_for(delta, str(tmp_path / "cold"))
-    assert "groupby" in calls
-    delta_sums = _read_sums(os.path.join(cold, "links"))
-    assert _read_sums(os.path.join(merged, "links")) == _plus(
-        base, [[(s, d, n) for (s, d), n in delta_sums.items()]])
 
 
 def test_overlapping_or_unstated_bucket_ranges_raise(tmp_path):
@@ -280,26 +267,34 @@ def test_overlapping_or_unstated_bucket_ranges_raise(tmp_path):
     assert _spans(str(links)) == [(0, 11), (11, LINK_BUCKETS)]
     write("b.parquet", [10, 20])  # bucket 10 in both files
     with pytest.raises(ValueError, match="overlap"):
-        weblinks._merged_links(str(links), rd.from_arrow(_table([])))
+        weblinks._bucket_ranges(str(links))
     write("b.parquet", [11, 20], write_statistics=False)
     with pytest.raises(ValueError, match="statistics"):
         weblinks._bucket_ranges(str(links))
 
 
 def test_chained_merge_matches_cold_build_in_file_order(pages_dir,
-                                                        tmp_path):
+                                                        tmp_path,
+                                                        monkeypatch):
     """update(update(base, d1), d2) writes exactly the files' rows a cold
-    build over base ∪ d1 ∪ d2 writes, in the same order."""
+    build over base ∪ d1 ∪ d2 writes, in the same order; so does a cold
+    build whose exchange runs one map task and one range."""
     files = sorted(glob.glob(os.path.join(pages_dir, "*.parquet")))
     base = weblinks._ensure_link_tables_for(files[:4], str(tmp_path / "b"))
     m1 = weblinks.merge_link_tables(base, files[4:5], str(tmp_path / "m1"))
     m2 = weblinks.merge_link_tables(m1, files[5:], str(tmp_path / "m2"))
     cold = weblinks._ensure_link_tables_for(files, str(tmp_path / "cold"))
+    monkeypatch.setattr(weblinks, "file_groups", lambda fs: [fs])
+    one = weblinks._ensure_link_tables_for(files, str(tmp_path / "one"))
+
+    def links(root):
+        return sorted(glob.glob(os.path.join(root, "links", "*.parquet")))
 
     def read(root):
-        return pq.read_table(sorted(glob.glob(
-            os.path.join(root, "links", "*.parquet"))))
+        return pq.read_table(links(root))
 
+    assert len(links(cold)) >= 2 and len(links(one)) == 1
     assert read(m2).equals(read(cold))
+    assert read(one).equals(read(cold))
     assert _spans(os.path.join(m2, "links")) == _spans(
         os.path.join(base, "links"))

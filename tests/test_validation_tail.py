@@ -1,5 +1,5 @@
 """Phase B's validation tail: relationship issues are written by the edge
-sort's own write tasks (``kg._write_checked``), in the same execution as
+sort's own write tasks (``kg._edge_reduce``), in the same execution as
 edges/. The former path re-read edges/ and ran
 ``edge_issues_batch`` and ``issue_count_batch`` over it; it is kept here as
 the reference, and both must give the same issue rows and the same
