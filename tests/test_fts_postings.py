@@ -1,7 +1,6 @@
 """The full-text index layout: one (term, url)-sorted segment per build
 task, corpus stats written at build time, and term filters that prune by
-row-group statistics. The build runs no Ray Data
-(tests/test_cli_update.py::test_update_job_creates_no_dataset)."""
+row-group statistics — built with no Ray Data at all."""
 
 from __future__ import annotations
 
@@ -99,6 +98,27 @@ def test_segments_match_plain_python_reference(ray_session, tmp_path, files):
     want_tokens = sum(len(_TOKEN_RE.findall(t.lower())) for _, t in docs)
     assert stats == {"n_docs": len(docs), "n_tokens": want_tokens}
     shutil.rmtree(work)
+
+
+def test_build_runs_no_all_to_all(ray_session, tmp_path, monkeypatch):
+    """build_fts_postings makes no Dataset and calls no Dataset shuffle;
+    the same spies see the query's read and coalesce, so they would see
+    either in the build."""
+    calls = []
+    for name in ("__init__", "sort", "groupby", "union", "repartition",
+                 "random_shuffle"):
+        def spy(self, *a, _name=name, _orig=getattr(rd.Dataset, name), **k):
+            calls.append(_name)
+            return _orig(self, *a, **k)
+
+        monkeypatch.setattr(rd.Dataset, name, spy)
+    docs = [[(f"https://h.example/{i}/{j}", f"cat sat {i} mat {j}")
+             for j in range(5)] for i in range(3)]
+    run = _fake_run(str(tmp_path / "run"), docs)
+    root = kgqueries.build_fts_postings(run, str(tmp_path / "fts"))
+    assert calls == []
+    kgqueries._read_postings(root, ["cat", "mat"], ["term", "url"])
+    assert "__init__" in calls and "repartition" in calls
 
 
 def test_term_filter_prunes_row_groups(ray_session, tmp_path, monkeypatch):

@@ -250,6 +250,36 @@ def test_merge_matches_dict_reference(small_base, data):
         assert _spans(m2) == spans
 
 
+def test_merge_runs_no_all_to_all(small_base, tmp_path, monkeypatch):
+    """merge_link_tables makes no Dataset and calls no Dataset shuffle;
+    the same spies see a Dataset read and groupby of the merged table, so
+    they would see either in the merge. The merged sums are the base's
+    plus a cold build's over the delta pages alone."""
+    import ray.data as rd
+
+    from agenticknowledgegraphconstructionsystem_ray import synth
+
+    calls = []
+    for name in ("__init__", "sort", "groupby", "union", "repartition",
+                 "random_shuffle"):
+        def spy(self, *a, _name=name, _orig=getattr(rd.Dataset, name), **k):
+            calls.append(_name)
+            return _orig(self, *a, **k)
+
+        monkeypatch.setattr(rd.Dataset, name, spy)
+    root, base, _ = small_base
+    delta = synth.write_pages(str(tmp_path / "delta"), 4, n_files=1)
+    merged = weblinks.merge_link_tables(root, delta, str(tmp_path / "m"))
+    cold = weblinks._ensure_link_tables_for(delta, str(tmp_path / "cold"))
+    assert calls == []
+    rd.read_parquet(os.path.join(merged, "links")).groupby(
+        "src_host").count().take_all()
+    assert "__init__" in calls and "groupby" in calls
+    delta_sums = _read_sums(os.path.join(cold, "links"))
+    assert _read_sums(os.path.join(merged, "links")) == _plus(
+        base, [[(s, d, n) for (s, d), n in delta_sums.items()]])
+
+
 def test_overlapping_or_unstated_bucket_ranges_raise(tmp_path):
     links = tmp_path / "links"
     links.mkdir()
